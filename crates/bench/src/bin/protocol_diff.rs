@@ -16,10 +16,11 @@
 //! Rules:
 //! - a protocol-counter increase beyond `baseline * (1 + pct/100) + slack`
 //!   fails;
-//! - the transport byte/frame counters (`bytes_tx`, `bytes_rx`, `frames`,
-//!   `completions`) carry backend framing overhead, so they diff under
-//!   their own *symmetric* band (`--transport-pct`, default 10%): leaving
-//!   the band in either direction fails, drift inside it is a note;
+//! - the counters of class `Transport` in `darray`'s stats table (wire
+//!   bytes, frames, completions and the doorbell-batching counters) carry
+//!   backend framing and batching effects, so they diff under their own
+//!   *symmetric* band (`--transport-pct`, default 10%): leaving the band
+//!   in either direction fails, drift inside it is a note;
 //! - a section or counter present in the baseline but missing from the
 //!   current file fails (instrumentation was dropped);
 //! - protocol-counter decreases and brand-new counters are reported but
@@ -36,6 +37,8 @@
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
+
+use darray::StatClass;
 
 /// `section label -> counter name -> value`, in file order (BTreeMap for
 /// stable report ordering).
@@ -226,21 +229,6 @@ struct Finding {
     msg: String,
 }
 
-/// Transport-level counters measure wire traffic and egress mechanics
-/// (payload + backend framing, doorbell batching), not protocol
-/// transitions, so they get a symmetric tolerance band of their own
-/// instead of the exact protocol threshold.
-const TRANSPORT_COUNTERS: [&str; 8] = [
-    "bytes_tx",
-    "bytes_rx",
-    "frames",
-    "completions",
-    "tx_flushes",
-    "doorbell_batches",
-    "frames_coalesced",
-    "ring_hwm",
-];
-
 /// Apply the diff rules; findings in deterministic (sorted) order.
 fn diff(
     baseline: &Traffic,
@@ -266,7 +254,10 @@ fn diff(
                 });
                 continue;
             };
-            let transport = TRANSPORT_COUNTERS.contains(&name.as_str());
+            // `Transport` rows measure wire traffic and egress mechanics
+            // (payload + backend framing, doorbell batching), not protocol
+            // transitions, so they get a symmetric band of their own.
+            let transport = StatClass::of(name) == Some(StatClass::Transport);
             let band = if transport { transport_pct } else { pct };
             let limit = (base as f64 * (1.0 + band / 100.0)).floor() as u64 + slack;
             if cur > limit {
@@ -478,7 +469,7 @@ mod tests {
             &[("x_mops".to_string(), 1.25)],
             &[(
                 "x".to_string(),
-                darray_bench::report::ProtocolTraffic {
+                darray::NodeStatsSnapshot {
                     fills: 4,
                     ..Default::default()
                 },
@@ -627,7 +618,7 @@ mod tests {
     #[test]
     fn real_report_roundtrip() {
         // The writer's own output must parse (guards format drift).
-        let t = darray_bench::report::ProtocolTraffic {
+        let t = darray::NodeStatsSnapshot {
             fills: 3,
             epochs_aborted: 1,
             ..Default::default()
@@ -639,5 +630,39 @@ mod tests {
         assert_eq!(parsed["w_1n"]["orphaned_locks_reclaimed"], 0);
         assert_eq!(parsed["w_1n"]["flush_persists"], 0);
         assert_eq!(parsed["w_1n"]["recovered_chunks"], 0);
+    }
+
+    #[test]
+    fn section_writes_every_non_local_row_once_in_table_order() {
+        let rows: Vec<(&str, StatClass)> = darray::NodeStatsSnapshot::default()
+            .rows()
+            .map(|(name, class, _)| (name, class))
+            .collect();
+        let names: std::collections::BTreeSet<&str> = rows.iter().map(|r| r.0).collect();
+        assert_eq!(names.len(), rows.len(), "row names must be unique");
+
+        // A distinct value per row, so a name paired with the wrong field
+        // cannot round-trip.
+        let value = |name: &str| 1000 + rows.iter().position(|r| r.0 == name).unwrap() as u64;
+        let t = darray::NodeStatsSnapshot::from_fn(value);
+        let body = darray_bench::report::render_bench_json("rows", &[("s".to_string(), t)]);
+        let section = &parse_bench(&body).unwrap()["s"];
+
+        let mut last = 0;
+        for &(name, class) in &rows {
+            let key = format!("\"{name}\":");
+            if class == StatClass::Local {
+                assert!(!body.contains(&key), "Local row `{name}` written");
+                assert!(!section.contains_key(name));
+                continue;
+            }
+            assert_eq!(body.matches(&key).count(), 1, "`{name}` not written once");
+            let at = body.find(&key).unwrap();
+            assert!(at > last, "`{name}` out of table order");
+            last = at;
+            assert_eq!(section[name], value(name), "`{name}` did not round-trip");
+        }
+        let written = rows.iter().filter(|r| r.1 != StatClass::Local).count();
+        assert_eq!(section.len(), written);
     }
 }

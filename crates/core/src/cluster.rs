@@ -106,18 +106,16 @@ fn build_transports(cfg: &ClusterConfig) -> Result<Vec<Arc<dyn Transport<NetMsg>
             if let Some(n) = cfg.batch.flush_every_frames {
                 net.signal_interval = n;
             }
-            let policy = rdma_fabric::BatchPolicy {
-                send_batch_max: cfg.batch.send_batch_max,
-                flush_every_frames: cfg.batch.flush_every_frames,
-            };
             let fabric: Fabric<NetMsg> = match &cfg.fault {
                 Some(f) => Fabric::with_faults(cfg.nodes, net, f.plan.clone()),
                 None => Fabric::new(cfg.nodes, net),
             };
             Ok((0..cfg.nodes)
                 .map(|i| {
-                    Arc::new(SimTransport::with_policy(fabric.nic(i), policy))
-                        as Arc<dyn Transport<NetMsg>>
+                    Arc::new(SimTransport::with_send_batch_max(
+                        fabric.nic(i),
+                        cfg.batch.send_batch_max,
+                    )) as Arc<dyn Transport<NetMsg>>
                 })
                 .collect())
         }
@@ -592,28 +590,12 @@ impl Cluster {
         }
     }
 
-    /// Statistics of one node's runtime, with the node's transport
-    /// byte/frame/completion counters overlaid (backend-agnostic; see
+    /// Statistics of one node's runtime, with the node's transport and
+    /// chunk-store counters overlaid (backend-agnostic; see
     /// [`rdma_fabric::TransportStats`]).
     pub fn stats(&self, node: NodeId) -> NodeStatsSnapshot {
-        let mut snap = self.shared.stats[node].snapshot();
-        let t = self.shared.transport_stats(node);
-        snap.bytes_tx = t.bytes_tx;
-        snap.bytes_rx = t.bytes_rx;
-        snap.frames = t.frames;
-        snap.completions = t.completions;
-        snap.tx_flushes = t.tx_flushes;
-        snap.doorbell_batches = t.doorbell_batches;
-        snap.frames_coalesced = t.frames_coalesced;
-        snap.ring_hwm = t.ring_hwm;
-        if let Some(store) = &self.shared.stores[node] {
-            let st = store.stats();
-            snap.log_bytes = st.log_bytes;
-            snap.checkpoint_bytes = st.checkpoint_bytes;
-            snap.compactions = st.compactions;
-            snap.truncated_records = st.truncated_records;
-        }
-        snap
+        let store = self.shared.stores[node].as_ref().map(|s| s.stats());
+        self.shared.stats[node].snapshot(&self.shared.transport_stats(node), store.as_ref())
     }
 
     /// Checkpoint barrier: snapshot every node's durable chunk store into

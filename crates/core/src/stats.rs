@@ -1,169 +1,269 @@
-//! Per-node runtime statistics.
+//! Per-node runtime statistics, declared once in a single counter table.
+//!
+//! Every counter is one row of the `stat_table!` invocation below: its
+//! name, its [`StatClass`], how per-node values combine into a cluster
+//! total (`Sum`, or `Max` for gauges) and its doc string. The table
+//! generates [`NodeStats`] (the atomics the runtime bumps),
+//! [`NodeStatsSnapshot`] (a plain copy of every row),
+//! [`NodeStats::snapshot`] with its transport/store overlay,
+//! [`NodeStatsSnapshot::merge`] and [`NodeStatsSnapshot::rows`]. Row order
+//! is the key order of a `BENCH_*.json` protocol-traffic section.
+//!
+//! Adding a counter takes one table row plus the line that bumps it
+//! (`NodeStats::bump(&stats.my_counter)`). Its class decides the rest:
+//! whether a BENCH section writes it, which `protocol_diff` band it is
+//! diffed under, and whether the Sim-vs-TCP parity suite compares it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Monotonic counters describing one node's DArray activity. All fields are
-/// cheap relaxed atomics; snapshot with [`NodeStats::snapshot`].
-#[derive(Debug, Default)]
-pub struct NodeStats {
+use rdma_fabric::TransportStats;
+
+use crate::store::StoreStats;
+
+/// Where a counter comes from and how the BENCH tooling treats it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StatClass {
+    /// Bumped in [`NodeStats`]; node-local bookkeeping, not written to
+    /// BENCH sections.
+    Local,
+    /// Bumped in [`NodeStats`]; written to BENCH sections and diffed
+    /// exactly.
+    Protocol,
+    /// Copied from the same-named [`TransportStats`] field; written to
+    /// BENCH sections and diffed under the symmetric transport band
+    /// (backend framing and batching make it backend-specific).
+    Transport,
+    /// Copied from the same-named [`StoreStats`] field; written to BENCH
+    /// sections and diffed exactly.
+    Store,
+}
+
+impl StatClass {
+    /// The class of the counter called `name`, if there is one.
+    pub fn of(name: &str) -> Option<StatClass> {
+        NodeStatsSnapshot::default()
+            .rows()
+            .find(|&(n, _, _)| n == name)
+            .map(|(_, class, _)| class)
+    }
+}
+
+/// Builds [`NodeStats`] from the `Local` and `Protocol` rows only: the
+/// transport and store rows live in their own backends.
+macro_rules! node_stats_struct {
+    ([$($fields:tt)*]) => {
+        /// Monotonic counters describing one node's DArray activity. All
+        /// fields are cheap relaxed atomics; copy them out with
+        /// [`NodeStats::snapshot`].
+        #[derive(Debug, Default)]
+        pub struct NodeStats {
+            $($fields)*
+        }
+    };
+    ([$($fields:tt)*] $(#[doc = $doc:literal])* $name:ident: Transport; $($rest:tt)*) => {
+        node_stats_struct!([$($fields)*] $($rest)*);
+    };
+    ([$($fields:tt)*] $(#[doc = $doc:literal])* $name:ident: Store; $($rest:tt)*) => {
+        node_stats_struct!([$($fields)*] $($rest)*);
+    };
+    ([$($fields:tt)*] $(#[doc = $doc:literal])* $name:ident: $class:ident; $($rest:tt)*) => {
+        node_stats_struct!([$($fields)* $(#[doc = $doc])* pub $name: AtomicU64,] $($rest)*);
+    };
+}
+
+/// One snapshot field, read from where its class says the value lives.
+macro_rules! stat_source {
+    (Transport, $stats:expr, $transport:expr, $store:expr, $name:ident) => {
+        $transport.$name
+    };
+    (Store, $stats:expr, $transport:expr, $store:expr, $name:ident) => {
+        $store.map_or(0, |st| st.$name)
+    };
+    ($class:ident, $stats:expr, $transport:expr, $store:expr, $name:ident) => {
+        $stats.$name.load(Ordering::Relaxed)
+    };
+}
+
+/// Fold one node's value into a cluster total.
+macro_rules! stat_merge {
+    (Sum, $total:expr, $node:expr) => {
+        $total += $node
+    };
+    (Max, $total:expr, $node:expr) => {
+        $total = $total.max($node)
+    };
+}
+
+macro_rules! stat_table {
+    ($($(#[doc = $doc:literal])* $name:ident: $class:ident, $agg:ident;)*) => {
+        node_stats_struct!([] $($(#[doc = $doc])* $name: $class;)*);
+
+        /// Point-in-time copy of one node's counters: every table row,
+        /// including the transport and store rows, which are zero unless
+        /// the snapshot was taken with their backend stats (as
+        /// `Cluster::stats` does).
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct NodeStatsSnapshot {
+            $($(#[doc = $doc])* pub $name: u64,)*
+        }
+
+        impl NodeStats {
+            /// Copy out all counters, taking the `Transport` rows from
+            /// `transport` and the `Store` rows from `store` (zero when the
+            /// node has no chunk store).
+            pub fn snapshot(
+                &self,
+                transport: &TransportStats,
+                store: Option<&StoreStats>,
+            ) -> NodeStatsSnapshot {
+                NodeStatsSnapshot {
+                    $($name: stat_source!($class, self, transport, store, $name),)*
+                }
+            }
+        }
+
+        impl NodeStatsSnapshot {
+            /// Fold another node's counters into this cluster total: `Sum`
+            /// rows add, `Max` rows (gauges) keep the larger value.
+            pub fn merge(&mut self, other: &Self) {
+                $(stat_merge!($agg, self.$name, other.$name);)*
+            }
+
+            /// A snapshot with every row set to `value(name)`.
+            pub fn from_fn(mut value: impl FnMut(&'static str) -> u64) -> Self {
+                Self {
+                    $($name: value(stringify!($name)),)*
+                }
+            }
+
+            /// Every counter as `(name, class, value)`, in table order.
+            pub fn rows(&self) -> impl Iterator<Item = (&'static str, StatClass, u64)> {
+                [$((stringify!($name), StatClass::$class, self.$name),)*].into_iter()
+            }
+        }
+    };
+}
+
+stat_table! {
     /// Fast-path accesses that succeeded immediately.
-    pub fast_hits: AtomicU64,
+    fast_hits: Local, Sum;
     /// Slow-path requests submitted to the runtime.
-    pub slow_misses: AtomicU64,
-    /// Cache fills completed (read, write or operate grants).
-    pub fills: AtomicU64,
-    /// Cachelines evicted by the reclamation scan.
-    pub evictions: AtomicU64,
-    /// Dirty writebacks sent (voluntary or recalled).
-    pub writebacks: AtomicU64,
-    /// Operand flushes sent (voluntary or recalled).
-    pub operand_flushes: AtomicU64,
-    /// Invalidations performed on this node's copies.
-    pub invalidations: AtomicU64,
+    slow_misses: Local, Sum;
     /// Protocol messages handled by runtime threads.
-    pub rpcs_handled: AtomicU64,
+    rpcs_handled: Local, Sum;
     /// Local requests handled by runtime threads.
-    pub local_handled: AtomicU64,
+    local_handled: Local, Sum;
     /// Operator applications combined locally (Operated state).
-    pub local_combines: AtomicU64,
+    local_combines: Local, Sum;
     /// Lock acquisitions granted by this node's lock tables.
-    pub locks_granted: AtomicU64,
+    locks_granted: Local, Sum;
     /// Prefetch fills issued.
-    pub prefetches: AtomicU64,
-    /// Recall/downgrade messages honored by this node (home pulled back a
-    /// dirty or operated copy we held).
-    pub recalls: AtomicU64,
-    /// Operand flushes *reduced into* this node's home subarray (each is one
-    /// remote node's combined Operated contribution).
-    pub operated_reductions: AtomicU64,
-    /// Protocol state transitions executed by this node's machines (home
-    /// directory + local cache), as emitted by `protocol::Transition`.
-    pub transitions: AtomicU64,
+    prefetches: Local, Sum;
     /// Reliable-RPC timeout expirations (each triggers a retransmit or, at
     /// the retry limit, a peer-down declaration). Zero unless
     /// `ClusterConfig::fault` is set.
-    pub rpc_timeouts: AtomicU64,
+    rpc_timeouts: Local, Sum;
     /// Reliable-RPC retransmissions posted.
-    pub retransmits: AtomicU64,
+    retransmits: Local, Sum;
     /// Duplicate RPCs suppressed at the Rx/runtime boundary.
-    pub dup_rpcs: AtomicU64,
+    dup_rpcs: Local, Sum;
     /// Peers this node declared down after exhausting retries.
-    pub peers_down: AtomicU64,
-    /// Locks held by (or granted to) dead peers that this node's lock
-    /// tables reclaimed during peer-down recovery.
-    pub orphaned_locks_reclaimed: AtomicU64,
-    /// Operated epochs this node's directory machines closed by abort
-    /// because a contributor died before flushing its operands.
-    pub epochs_aborted: AtomicU64,
+    peers_down: Local, Sum;
+
+    /// Cache fills completed (read, write or operate grants).
+    fills: Protocol, Sum;
+    /// Invalidations performed on this node's copies.
+    invalidations: Protocol, Sum;
+    /// Recall/downgrade messages honored by this node (home pulled back a
+    /// dirty or operated copy we held).
+    recalls: Protocol, Sum;
+    /// Dirty writebacks sent (voluntary or recalled).
+    writebacks: Protocol, Sum;
+    /// Operand flushes sent (voluntary or recalled).
+    operand_flushes: Protocol, Sum;
+    /// Operand flushes *reduced into* this node's home subarray (each is one
+    /// remote node's combined Operated contribution).
+    operated_reductions: Protocol, Sum;
+    /// Cachelines evicted by the reclamation scan.
+    evictions: Protocol, Sum;
+    /// Protocol state transitions executed by this node's machines (home
+    /// directory + local cache), as emitted by `protocol::Transition`.
+    transitions: Protocol, Sum;
     /// Dead peers pruned from directory sharer sets and transient wait
     /// sets during peer-down recovery.
-    pub sharers_pruned: AtomicU64,
+    sharers_pruned: Protocol, Sum;
+    /// Operated epochs this node's directory machines closed by abort
+    /// because a contributor died before flushing its operands.
+    epochs_aborted: Protocol, Sum;
+    /// Locks held by (or granted to) dead peers that this node's lock
+    /// tables reclaimed during peer-down recovery.
+    orphaned_locks_reclaimed: Protocol, Sum;
     /// Peers this node moved to *Suspected* after exhausting retries
     /// (includes suspicions resolved instantly by a fresh incoming lease).
-    pub suspicions: AtomicU64,
+    suspicions: Protocol, Sum;
     /// Suspicions refuted — by a quorum vote naming the peer alive, or by
     /// the suspect's own traffic refreshing its lease — after which the
     /// peer was re-admitted and its parked traffic replayed.
-    pub refutations: AtomicU64,
+    refutations: Protocol, Sum;
     /// Suspicions a quorum promoted to confirmed deaths. Always equal to
     /// `peers_down` (kept separate so the membership ledger — suspicions =
     /// refutations + confirmed + pending — balances on its own terms).
-    pub confirmed_deaths: AtomicU64,
+    confirmed_deaths: Protocol, Sum;
     /// Gauge (not a counter): this node's current membership-view epoch,
     /// i.e. the number of deaths it has confirmed so far.
-    pub membership_epoch: AtomicU64,
+    membership_epoch: Protocol, Max;
     /// Dirty-chunk flushes persisted to the durable chunk store before the
     /// protocol acknowledged them (persist-before-ack, DESIGN.md §14).
     /// Zero unless a durability policy is configured.
-    pub flush_persists: AtomicU64,
+    flush_persists: Protocol, Sum;
     /// Log records replayed when this node's durable chunk store was
     /// opened (includes superseded records of re-persisted chunks).
-    pub log_replays: AtomicU64,
+    log_replays: Protocol, Sum;
     /// Distinct chunk images recovered from the durable log at bring-up
     /// (latest epoch per chunk) and overlaid onto home subarrays.
-    pub recovered_chunks: AtomicU64,
-    /// Chunks this node handed to a new home: migrations that committed and
-    /// departed (DESIGN.md §15). Zero outside elastic mode.
-    pub migrations_out: AtomicU64,
-    /// Chunk migrations that landed here: this node adopted the chunk as
-    /// its new authoritative home.
-    pub migrations_in: AtomicU64,
-    /// Requests parked behind a migration fence and later replayed —
-    /// forwarded to the new home or re-serviced once the fence lifted.
-    pub parked_replays: AtomicU64,
-}
-
-/// Point-in-time copy of [`NodeStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NodeStatsSnapshot {
-    pub fast_hits: u64,
-    pub slow_misses: u64,
-    pub fills: u64,
-    pub evictions: u64,
-    pub writebacks: u64,
-    pub operand_flushes: u64,
-    pub invalidations: u64,
-    pub rpcs_handled: u64,
-    pub local_handled: u64,
-    pub local_combines: u64,
-    pub locks_granted: u64,
-    pub prefetches: u64,
-    pub recalls: u64,
-    pub operated_reductions: u64,
-    pub transitions: u64,
-    pub rpc_timeouts: u64,
-    pub retransmits: u64,
-    pub dup_rpcs: u64,
-    pub peers_down: u64,
-    pub orphaned_locks_reclaimed: u64,
-    pub epochs_aborted: u64,
-    pub sharers_pruned: u64,
-    pub suspicions: u64,
-    pub refutations: u64,
-    pub confirmed_deaths: u64,
-    pub membership_epoch: u64,
-    pub flush_persists: u64,
-    pub log_replays: u64,
-    pub recovered_chunks: u64,
-    pub migrations_out: u64,
-    pub migrations_in: u64,
-    pub parked_replays: u64,
-    /// Bytes this node's transport handed to the wire (payload plus backend
-    /// framing). Filled in by `Cluster::stats` from the transport backend;
-    /// always zero in a bare [`NodeStats::snapshot`].
-    pub bytes_tx: u64,
-    /// Bytes this node's transport received from the wire.
-    pub bytes_rx: u64,
-    /// Frames (SENDs plus one-sided WRITEs) this node's transport posted.
-    pub frames: u64,
-    /// Completion events the transport observed for posted work.
-    pub completions: u64,
-    /// Egress flushes the transport committed (doorbell rings; always
-    /// `frames == tx_flushes + frames_coalesced`). Overlaid by
-    /// `Cluster::stats` like the other transport counters.
-    pub tx_flushes: u64,
-    /// Flushes that carried two or more frames (one doorbell amortized
-    /// over a batch).
-    pub doorbell_batches: u64,
-    /// Frames that rode an already-open batch instead of ringing their
-    /// own doorbell.
-    pub frames_coalesced: u64,
-    /// High-water mark of the per-link egress ring, in frames.
-    pub ring_hwm: u64,
+    recovered_chunks: Protocol, Sum;
     /// Bytes currently held by this node's durable chunk log (header plus
-    /// framed records, including the not-yet-compacted suffix). Filled in
-    /// by `Cluster::stats` from the chunk store; always zero in a bare
-    /// [`NodeStats::snapshot`] and under `durability.policy = none`.
-    pub log_bytes: u64,
+    /// framed records, including the not-yet-compacted suffix). Zero under
+    /// `durability.policy = none`.
+    log_bytes: Store, Sum;
     /// Bytes of this node's newest durable checkpoint sidecar (0 before
     /// the first checkpoint).
-    pub checkpoint_bytes: u64,
+    checkpoint_bytes: Store, Sum;
     /// Checkpoints taken by this node's chunk store (periodic trigger plus
     /// explicit `Cluster::checkpoint_all` calls).
-    pub compactions: u64,
+    compactions: Store, Sum;
     /// Log records dropped by compaction — the prefix covered by a
     /// checkpoint generation and truncated from the log.
-    pub truncated_records: u64,
+    truncated_records: Store, Sum;
+    /// Chunks this node handed to a new home: migrations that committed and
+    /// departed (DESIGN.md §15). Zero outside elastic mode.
+    migrations_out: Protocol, Sum;
+    /// Chunk migrations that landed here: this node adopted the chunk as
+    /// its new authoritative home.
+    migrations_in: Protocol, Sum;
+    /// Requests parked behind a migration fence and later replayed —
+    /// forwarded to the new home or re-serviced once the fence lifted.
+    parked_replays: Protocol, Sum;
+    /// Bytes this node's transport handed to the wire (payload plus backend
+    /// framing).
+    bytes_tx: Transport, Sum;
+    /// Bytes this node's transport received from the wire.
+    bytes_rx: Transport, Sum;
+    /// Frames (SENDs plus one-sided WRITEs) this node's transport posted.
+    frames: Transport, Sum;
+    /// Completion events the transport observed for posted work.
+    completions: Transport, Sum;
+    /// Egress flushes the transport committed (doorbell rings; always
+    /// `frames == tx_flushes + frames_coalesced`).
+    tx_flushes: Transport, Sum;
+    /// Flushes that carried two or more frames (one doorbell amortized
+    /// over a batch).
+    doorbell_batches: Transport, Sum;
+    /// Frames that rode an already-open batch instead of ringing their
+    /// own doorbell.
+    frames_coalesced: Transport, Sum;
+    /// Gauge: high-water mark of the per-link egress ring, in frames.
+    ring_hwm: Transport, Max;
 }
 
 impl NodeStats {
@@ -178,76 +278,77 @@ impl NodeStats {
     pub(crate) fn raise(field: &AtomicU64, v: u64) {
         field.fetch_max(v, Ordering::Relaxed);
     }
-
-    /// Copy out all counters.
-    pub fn snapshot(&self) -> NodeStatsSnapshot {
-        NodeStatsSnapshot {
-            fast_hits: self.fast_hits.load(Ordering::Relaxed),
-            slow_misses: self.slow_misses.load(Ordering::Relaxed),
-            fills: self.fills.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            writebacks: self.writebacks.load(Ordering::Relaxed),
-            operand_flushes: self.operand_flushes.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
-            rpcs_handled: self.rpcs_handled.load(Ordering::Relaxed),
-            local_handled: self.local_handled.load(Ordering::Relaxed),
-            local_combines: self.local_combines.load(Ordering::Relaxed),
-            locks_granted: self.locks_granted.load(Ordering::Relaxed),
-            prefetches: self.prefetches.load(Ordering::Relaxed),
-            recalls: self.recalls.load(Ordering::Relaxed),
-            operated_reductions: self.operated_reductions.load(Ordering::Relaxed),
-            transitions: self.transitions.load(Ordering::Relaxed),
-            rpc_timeouts: self.rpc_timeouts.load(Ordering::Relaxed),
-            retransmits: self.retransmits.load(Ordering::Relaxed),
-            dup_rpcs: self.dup_rpcs.load(Ordering::Relaxed),
-            peers_down: self.peers_down.load(Ordering::Relaxed),
-            orphaned_locks_reclaimed: self.orphaned_locks_reclaimed.load(Ordering::Relaxed),
-            epochs_aborted: self.epochs_aborted.load(Ordering::Relaxed),
-            sharers_pruned: self.sharers_pruned.load(Ordering::Relaxed),
-            suspicions: self.suspicions.load(Ordering::Relaxed),
-            refutations: self.refutations.load(Ordering::Relaxed),
-            confirmed_deaths: self.confirmed_deaths.load(Ordering::Relaxed),
-            membership_epoch: self.membership_epoch.load(Ordering::Relaxed),
-            flush_persists: self.flush_persists.load(Ordering::Relaxed),
-            log_replays: self.log_replays.load(Ordering::Relaxed),
-            recovered_chunks: self.recovered_chunks.load(Ordering::Relaxed),
-            migrations_out: self.migrations_out.load(Ordering::Relaxed),
-            migrations_in: self.migrations_in.load(Ordering::Relaxed),
-            parked_replays: self.parked_replays.load(Ordering::Relaxed),
-            // Transport counters live in the backend, not in NodeStats;
-            // `Cluster::stats` overlays them onto the snapshot.
-            bytes_tx: 0,
-            bytes_rx: 0,
-            frames: 0,
-            completions: 0,
-            tx_flushes: 0,
-            doorbell_batches: 0,
-            frames_coalesced: 0,
-            ring_hwm: 0,
-            // Store counters live in the chunk store; `Cluster::stats`
-            // overlays them too.
-            log_bytes: 0,
-            checkpoint_bytes: 0,
-            compactions: 0,
-            truncated_records: 0,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn bare(s: &NodeStats) -> NodeStatsSnapshot {
+        s.snapshot(&TransportStats::default(), None)
+    }
+
     #[test]
     fn counters_start_zero_and_bump() {
         let s = NodeStats::default();
-        assert_eq!(s.snapshot(), NodeStatsSnapshot::default());
+        assert_eq!(bare(&s), NodeStatsSnapshot::default());
         NodeStats::bump(&s.fast_hits);
         NodeStats::bump(&s.fast_hits);
         NodeStats::bump(&s.evictions);
-        let snap = s.snapshot();
+        let snap = bare(&s);
         assert_eq!(snap.fast_hits, 2);
         assert_eq!(snap.evictions, 1);
         assert_eq!(snap.fills, 0);
+    }
+
+    #[test]
+    fn snapshot_overlays_transport_and_store_rows() {
+        let s = NodeStats::default();
+        NodeStats::bump(&s.fills);
+        let t = TransportStats {
+            frames: 7,
+            ring_hwm: 3,
+            ..Default::default()
+        };
+        let st = StoreStats {
+            log_bytes: 64,
+            // Not a row of its own: `recovered_chunks` is bumped by the
+            // runtime, so the store's figure must not leak in.
+            recovered_chunks: 9,
+            ..Default::default()
+        };
+        let snap = s.snapshot(&t, Some(&st));
+        assert_eq!((snap.fills, snap.frames, snap.ring_hwm), (1, 7, 3));
+        assert_eq!((snap.log_bytes, snap.recovered_chunks), (64, 0));
+        assert_eq!(s.snapshot(&t, None).log_bytes, 0);
+    }
+
+    #[test]
+    fn merge_sums_counters_and_maxes_gauges() {
+        let a = NodeStatsSnapshot {
+            fills: 2,
+            membership_epoch: 3,
+            ring_hwm: 5,
+            ..Default::default()
+        };
+        let b = NodeStatsSnapshot {
+            fills: 4,
+            membership_epoch: 1,
+            ring_hwm: 9,
+            ..Default::default()
+        };
+        let mut total = a;
+        total.merge(&b);
+        assert_eq!(total.fills, 6);
+        assert_eq!(total.membership_epoch, 3);
+        assert_eq!(total.ring_hwm, 9);
+    }
+
+    #[test]
+    fn class_lookup_by_name() {
+        assert_eq!(StatClass::of("fast_hits"), Some(StatClass::Local));
+        assert_eq!(StatClass::of("log_bytes"), Some(StatClass::Store));
+        assert_eq!(StatClass::of("frames"), Some(StatClass::Transport));
+        assert_eq!(StatClass::of("no_such_counter"), None);
     }
 }

@@ -15,7 +15,7 @@
 
 use darray::{
     ArrayOptions, Cluster, ClusterConfig, ConfigError, DArrayError, NodeStatsSnapshot, Sim,
-    SimConfig, TransportKind, DEFAULT_CHUNK_SIZE,
+    SimConfig, StatClass, TransportKind, DEFAULT_CHUNK_SIZE,
 };
 
 const NODES: usize = 3;
@@ -37,19 +37,14 @@ fn base(node: usize, c: usize) -> usize {
     (node * CHUNKS_PER_NODE + c) * DEFAULT_CHUNK_SIZE
 }
 
-/// The protocol-level projection of a stats snapshot: transport byte/frame
-/// and egress-batching counters (backend-specific by design) zeroed out,
-/// everything else kept.
-fn protocol_view(mut s: NodeStatsSnapshot) -> NodeStatsSnapshot {
-    s.bytes_tx = 0;
-    s.bytes_rx = 0;
-    s.frames = 0;
-    s.completions = 0;
-    s.tx_flushes = 0;
-    s.doorbell_batches = 0;
-    s.frames_coalesced = 0;
-    s.ring_hwm = 0;
-    s
+/// The protocol-level projection of a stats snapshot: every counter except
+/// the `Transport` rows (wire bytes, frames and egress batching), which are
+/// backend-specific by design.
+fn protocol_view(s: NodeStatsSnapshot) -> Vec<(&'static str, u64)> {
+    s.rows()
+        .filter(|&(_, class, _)| class != StatClass::Transport)
+        .map(|(name, _, v)| (name, v))
+        .collect()
 }
 
 /// Barrier-phased workload exercising remote writes, dirty recalls, the

@@ -55,9 +55,9 @@ pub struct TransportStats {
     pub bytes_rx: u64,
     /// Frames (SENDs plus WRITEs) posted by this endpoint.
     pub frames: u64,
-    /// Completion events observed for posted work (selective signaling on
-    /// the simulated NIC; per-flush — or every `flush_every_frames`-th
-    /// frame — on TCP).
+    /// Completion events observed for posted work (the simulated NIC's
+    /// `NetConfig::signal_interval`; per flush — or every
+    /// `TcpOptions::flush_every_frames`-th frame — on TCP).
     pub completions: u64,
     /// Egress flushes: doorbell rings on the TCP pump (each a single
     /// writev-style syscall train), batch openings on the simulated NIC.
@@ -73,30 +73,6 @@ pub struct TransportStats {
     /// any link's not-yet-flushed backlog ever got (batch depth on the
     /// simulated NIC, queued ring depth on TCP).
     pub ring_hwm: u64,
-}
-
-/// Doorbell-batching knobs shared by every backend (`ClusterConfig` maps
-/// its batching section here so Sim and TCP interpret one set of knobs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchPolicy {
-    /// Most frames one egress flush may carry. A frame posted while its
-    /// link already has a full batch open starts a new batch (and a new
-    /// flush). Must be at least 1; 1 disables coalescing entirely.
-    pub send_batch_max: usize,
-    /// Selective-signaling override: count one completion every N-th
-    /// posted frame. `None` keeps the backend default (the simulated
-    /// NIC's `NetConfig::signal_interval`; one completion per flush on
-    /// TCP).
-    pub flush_every_frames: Option<u64>,
-}
-
-impl Default for BatchPolicy {
-    fn default() -> Self {
-        Self {
-            send_batch_max: 16,
-            flush_every_frames: None,
-        }
-    }
 }
 
 /// Backend-agnostic network endpoint for one node.
@@ -167,7 +143,7 @@ pub struct SimTransport<M: Send + 'static> {
     rx: Mailbox<(NodeId, M)>,
     bytes_rx: AtomicU64,
     frames_rx: AtomicU64,
-    policy: BatchPolicy,
+    send_batch_max: usize,
     /// Doorbell accounting (pure bookkeeping — never charges virtual
     /// time): per-destination depth of the batch currently riding the
     /// link's busy window, plus the flush/batch counters derived from it.
@@ -179,23 +155,25 @@ pub struct SimTransport<M: Send + 'static> {
 }
 
 impl<M: Send + 'static> SimTransport<M> {
-    /// Wrap one node's simulated NIC with default batching knobs.
+    /// Wrap one node's simulated NIC with the default batch cap of 16
+    /// frames per flush.
     pub fn new(nic: Arc<Nic<M>>) -> Self {
-        Self::with_policy(nic, BatchPolicy::default())
+        Self::with_send_batch_max(nic, 16)
     }
 
-    /// Wrap one node's simulated NIC with explicit batching knobs. The
-    /// knobs only steer *accounting* (which frames count as coalesced
-    /// into one doorbell batch); virtual-time behaviour is untouched, so
-    /// protocol traffic stays bit-identical across policies.
-    pub fn with_policy(nic: Arc<Nic<M>>, policy: BatchPolicy) -> Self {
+    /// Wrap one node's simulated NIC, capping a doorbell batch at
+    /// `send_batch_max` frames. The cap only steers *accounting* (which
+    /// frames count as coalesced into one doorbell batch); virtual-time
+    /// behaviour is untouched, so protocol traffic stays bit-identical
+    /// across caps.
+    pub fn with_send_batch_max(nic: Arc<Nic<M>>, send_batch_max: usize) -> Self {
         let rx = nic.rx();
         Self {
             nic,
             rx,
             bytes_rx: AtomicU64::new(0),
             frames_rx: AtomicU64::new(0),
-            policy,
+            send_batch_max,
             batch_depth: parking_lot::Mutex::new(Vec::new()),
             tx_flushes: AtomicU64::new(0),
             doorbell_batches: AtomicU64::new(0),
@@ -216,7 +194,7 @@ impl<M: Send + 'static> SimTransport<M> {
         if depths.len() <= dst {
             depths.resize(dst + 1, 0);
         }
-        let cap = self.policy.send_batch_max.max(1) as u64;
+        let cap = self.send_batch_max.max(1) as u64;
         let depth = &mut depths[dst];
         if busy && *depth > 0 && *depth < cap {
             *depth += 1;
