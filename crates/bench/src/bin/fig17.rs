@@ -47,20 +47,8 @@ fn main() {
     let sweep_t = *threads.last().unwrap();
     let mut sweep_rows = Vec::new();
     for (label, batch) in [
-        (
-            "batch1",
-            darray::BatchConfig {
-                send_batch_max: 1,
-                flush_every_frames: None,
-            },
-        ),
-        (
-            "batch16_sig8",
-            darray::BatchConfig {
-                send_batch_max: 16,
-                flush_every_frames: Some(8),
-            },
-        ),
+        ("batch1", (1, darray::NetConfig::default().signal_interval)),
+        ("batch16_sig8", (16, 8)),
     ] {
         darray_bench::set_batch_override(Some(batch));
         let d = kvs_ycsb(KvSys::DArray, nodes, sweep_t, 0.5, records, ops);

@@ -19,19 +19,20 @@ pub use darray::TransportKind;
 
 use std::sync::Mutex;
 
-/// Process-wide doorbell-batching override for benchmark cells. The
+/// Process-wide doorbell-batching override for benchmark cells, as
+/// `(send_batch_max, signal_interval)` on [`darray::NetConfig`]. The
 /// figure binaries' workload functions (`kvs_ycsb`, `micro::*`) build
 /// their clusters through [`bench_cluster_config`] with fixed signatures,
 /// so sweeps over the batching knobs set this instead of threading a
-/// config through every call. `None` (the default) keeps
-/// `BatchConfig::default()`.
-static BATCH_OVERRIDE: Mutex<Option<darray::BatchConfig>> = Mutex::new(None);
+/// config through every call. `None` (the default) keeps the
+/// `NetConfig` defaults.
+static BATCH_OVERRIDE: Mutex<Option<(usize, u64)>> = Mutex::new(None);
 
-/// Set (or with `None`, clear) the [`darray::BatchConfig`] that
-/// [`bench_cluster_config`] applies to every cluster built until the next
-/// call. Figure binaries run their cells sequentially, so scoping is by
-/// call order.
-pub fn set_batch_override(batch: Option<darray::BatchConfig>) {
+/// Set (or with `None`, clear) the `(send_batch_max, signal_interval)`
+/// pair that [`bench_cluster_config`] applies to every cluster built until
+/// the next call. Figure binaries run their cells sequentially, so scoping
+/// is by call order.
+pub fn set_batch_override(batch: Option<(usize, u64)>) {
     *BATCH_OVERRIDE.lock().unwrap() = batch;
 }
 
@@ -83,8 +84,9 @@ pub fn bench_cluster_config_rt(nodes: usize, runtime_threads: usize) -> darray::
     let mut cfg = darray::ClusterConfig::with_nodes(nodes);
     cfg.runtime_threads = runtime_threads;
     cfg.transport = transport_kind();
-    if let Some(batch) = *BATCH_OVERRIDE.lock().unwrap() {
-        cfg.batch = batch;
+    if let Some((send_batch_max, signal_interval)) = *BATCH_OVERRIDE.lock().unwrap() {
+        cfg.net.send_batch_max = send_batch_max;
+        cfg.net.signal_interval = signal_interval;
     }
     cfg
 }

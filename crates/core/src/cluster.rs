@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use dsim::{Ctx, JoinHandle, Mailbox, SimBarrier};
 use parking_lot::RwLock;
-use rdma_fabric::{Fabric, NicStatsSnapshot, NodeId, SimTransport, Transport};
+use rdma_fabric::{Fabric, NodeId, SimTransport, Transport};
 
 use crate::array::DArray;
 use crate::cache::{CacheRegion, PoolStats};
@@ -99,24 +99,12 @@ pub struct Cluster {
 fn build_transports(cfg: &ClusterConfig) -> Result<Vec<Arc<dyn Transport<NetMsg>>>, DArrayError> {
     match cfg.transport {
         TransportKind::Sim => {
-            // The selective-signaling knob maps onto the simulated NIC's
-            // native signal interval; the default `None` leaves `net`
-            // untouched (bit-identical to the pre-batching build).
-            let mut net = cfg.net.clone();
-            if let Some(n) = cfg.batch.flush_every_frames {
-                net.signal_interval = n;
-            }
             let fabric: Fabric<NetMsg> = match &cfg.fault {
-                Some(f) => Fabric::with_faults(cfg.nodes, net, f.plan.clone()),
-                None => Fabric::new(cfg.nodes, net),
+                Some(f) => Fabric::with_faults(cfg.nodes, cfg.net.clone(), f.plan.clone()),
+                None => Fabric::new(cfg.nodes, cfg.net.clone()),
             };
             Ok((0..cfg.nodes)
-                .map(|i| {
-                    Arc::new(SimTransport::with_send_batch_max(
-                        fabric.nic(i),
-                        cfg.batch.send_batch_max,
-                    )) as Arc<dyn Transport<NetMsg>>
-                })
+                .map(|i| Arc::new(SimTransport::new(fabric.nic(i))) as Arc<dyn Transport<NetMsg>>)
                 .collect())
         }
         TransportKind::Tcp => build_tcp_transports(cfg),
@@ -127,20 +115,7 @@ fn build_transports(cfg: &ClusterConfig) -> Result<Vec<Arc<dyn Transport<NetMsg>
 fn build_tcp_transports(
     cfg: &ClusterConfig,
 ) -> Result<Vec<Arc<dyn Transport<NetMsg>>>, DArrayError> {
-    let addrs = cfg.tcp.addrs.as_ref().map(|a| {
-        a.iter()
-            .map(|s| s.parse().expect("addresses checked by try_validate"))
-            .collect()
-    });
-    let opts = rdma_fabric::TcpOptions {
-        max_frame_words: cfg.tcp.max_frame_words,
-        poll_ns: cfg.tcp.poll_ns,
-        addrs,
-        pump_threads: cfg.tcp.pump_threads,
-        send_batch_max: cfg.batch.send_batch_max,
-        flush_every_frames: cfg.batch.flush_every_frames,
-    };
-    let mesh = rdma_fabric::TcpFabric::new(cfg.nodes, opts).map_err(|e| {
+    let mesh = rdma_fabric::TcpFabric::new(cfg.nodes, &cfg.net, &cfg.tcp).map_err(|e| {
         crate::ConfigError::TransportBringUp {
             message: e.to_string(),
         }
@@ -622,12 +597,6 @@ impl Cluster {
             .iter()
             .map(|p| p.stats())
             .collect()
-    }
-
-    /// Verb counters of one node's NIC. All-zero when the node's transport
-    /// is not backed by the simulated NIC.
-    pub fn nic_stats(&self, node: NodeId) -> NicStatsSnapshot {
-        self.shared.nic_stats(node)
     }
 
     /// Node `me`'s current membership opinion of `peer` (Alive / Suspected

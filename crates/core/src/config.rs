@@ -2,7 +2,7 @@
 
 use std::path::PathBuf;
 
-use rdma_fabric::{CostModel, FaultPlan, NetConfig};
+use rdma_fabric::{CostModel, FaultPlan, NetConfig, TcpOptions};
 
 use crate::error::ConfigError;
 use crate::store::DurabilityPolicy;
@@ -124,70 +124,6 @@ pub enum TransportKind {
     Tcp,
 }
 
-/// Knobs for the TCP transport backend. Present (and validated) regardless
-/// of the `tcp-transport` feature so that configuration handling does not
-/// change shape with the feature set.
-#[derive(Debug, Clone)]
-pub struct TcpTransportConfig {
-    /// Largest one-sided WRITE carried by one frame, in 8-byte words;
-    /// larger writes are split into consecutive frames (per-stream FIFO
-    /// keeps them ordered ahead of the notification message).
-    pub max_frame_words: usize,
-    /// Virtual nanoseconds charged per empty receive poll, standing in for
-    /// the CQ-poll cost the simulated NIC charges.
-    pub poll_ns: dsim::VTime,
-    /// Static listen addresses (`ip:port`), one per node. `None` (default)
-    /// binds ephemeral loopback ports, which cannot collide across
-    /// concurrently running clusters.
-    pub addrs: Option<Vec<String>>,
-    /// Pump threads per node: the fixed event-loop pool that multiplexes
-    /// all of the node's links (nonblocking sockets + `poll(2)`). The pool
-    /// size is independent of cluster size — never one thread per link —
-    /// and a node never spawns more pumps than it has links. Must be at
-    /// least 1; the default of 2 splits Rx/Tx load without oversubscribing
-    /// test machines.
-    pub pump_threads: usize,
-}
-
-impl Default for TcpTransportConfig {
-    fn default() -> Self {
-        Self {
-            max_frame_words: 4096,
-            poll_ns: 200,
-            addrs: None,
-            pump_threads: 2,
-        }
-    }
-}
-
-/// Doorbell-batching knobs, applied uniformly to every transport backend
-/// (DESIGN.md §13 "Async pump"). On TCP these steer the egress-ring
-/// mechanics (frames per writev-style flush, completion signaling); on the
-/// simulated backend they steer the equivalent accounting over the NIC's
-/// link-busy windows (and `flush_every_frames` overrides the simulated
-/// `NetConfig::signal_interval`), so `BENCH` json reports the same
-/// batching counters whichever backend ran.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchConfig {
-    /// Most frames one egress flush may carry. 1 disables coalescing;
-    /// 0 is rejected by validation.
-    pub send_batch_max: usize,
-    /// Selective signaling: count one completion every N-th flushed frame.
-    /// `None` (default) keeps each backend's native policy — the simulated
-    /// NIC's `signal_interval`, one completion per flush on TCP. `Some(0)`
-    /// is rejected by validation.
-    pub flush_every_frames: Option<u64>,
-}
-
-impl Default for BatchConfig {
-    fn default() -> Self {
-        Self {
-            send_batch_max: 16,
-            flush_every_frames: None,
-        }
-    }
-}
-
 /// Per-node durable chunk store configuration (DESIGN.md §14). With a
 /// policy other than [`DurabilityPolicy::None`], each node opens an
 /// append-only log under `dir` at bring-up (`node<N>.log`), replays it
@@ -267,7 +203,9 @@ pub struct ClusterConfig {
     /// baseline sets this to its hash-probe cost (its per-chunk lock is
     /// charged separately by the lock itself).
     pub fast_path_cost_ns: Option<dsim::VTime>,
-    /// Network model parameters.
+    /// Network parameters. `net.signal_interval` (selective signaling) and
+    /// `net.send_batch_max` (doorbell batch cap) apply to every backend;
+    /// the rest model the simulated wire.
     pub net: NetConfig,
     /// CPU cost model.
     pub cost: CostModel,
@@ -284,10 +222,9 @@ pub struct ClusterConfig {
     pub fault: Option<FaultConfig>,
     /// Network backend selection.
     pub transport: TransportKind,
-    /// TCP backend knobs (used when `transport` is [`TransportKind::Tcp`]).
-    pub tcp: TcpTransportConfig,
-    /// Doorbell-batching knobs, applied uniformly to Sim and TCP.
-    pub batch: BatchConfig,
+    /// TCP deployment settings (used when `transport` is
+    /// [`TransportKind::Tcp`]).
+    pub tcp: TcpOptions,
     /// Per-node durable chunk store; the default (policy `None`) keeps the
     /// protocol bit-identical to the persistence-free build.
     pub durability: DurabilityConfig,
@@ -336,8 +273,7 @@ impl Default for ClusterConfig {
             grant_grace_ns: 1_000,
             fault: None,
             transport: TransportKind::Sim,
-            tcp: TcpTransportConfig::default(),
-            batch: BatchConfig::default(),
+            tcp: TcpOptions::default(),
             durability: DurabilityConfig::default(),
             elastic: false,
             initial_nodes: None,
@@ -408,21 +344,15 @@ impl ClusterConfig {
                 });
             }
         }
-        if self.batch.send_batch_max == 0 {
+        if self.net.send_batch_max == 0 {
             return Err(ConfigError::ZeroSendBatch);
         }
-        if self.batch.flush_every_frames == Some(0) {
-            return Err(ConfigError::ZeroFlushInterval);
+        if self.net.signal_interval == 0 {
+            return Err(ConfigError::ZeroSignalInterval);
         }
         if self.transport == TransportKind::Tcp {
             if !cfg!(feature = "tcp-transport") {
                 return Err(ConfigError::TcpFeatureDisabled);
-            }
-            if self.tcp.max_frame_words == 0 {
-                return Err(ConfigError::ZeroFrameWords);
-            }
-            if self.tcp.poll_ns == 0 {
-                return Err(ConfigError::ZeroTransportPoll);
             }
             if self.tcp.pump_threads == 0 {
                 return Err(ConfigError::ZeroPumpThreads);
@@ -434,15 +364,10 @@ impl ClusterConfig {
                         got: addrs.len(),
                     });
                 }
-                let mut parsed: Vec<std::net::SocketAddr> = Vec::with_capacity(addrs.len());
-                for addr in addrs {
-                    let sa: std::net::SocketAddr = addr
-                        .parse()
-                        .map_err(|_| ConfigError::TransportAddrInvalid { addr: addr.clone() })?;
-                    if parsed.contains(&sa) {
-                        return Err(ConfigError::TransportAddrCollision { addr: addr.clone() });
+                for (i, &addr) in addrs.iter().enumerate() {
+                    if addrs[..i].contains(&addr) {
+                        return Err(ConfigError::TransportAddrCollision { addr });
                     }
-                    parsed.push(sa);
                 }
             }
             if let Some(f) = &self.fault {
@@ -732,25 +657,30 @@ mod tests {
         // The batching knobs apply to every backend, so they are checked
         // even on the simulated transport.
         let mut c = ClusterConfig::default();
-        c.batch.send_batch_max = 0;
+        c.net.send_batch_max = 0;
         assert_eq!(c.try_validate(), Err(ConfigError::ZeroSendBatch));
-
-        let mut c = ClusterConfig::default();
-        c.batch.flush_every_frames = Some(0);
-        assert_eq!(c.try_validate(), Err(ConfigError::ZeroFlushInterval));
 
         // 1 (no coalescing / signal every frame) is the legal minimum.
         let mut c = ClusterConfig::default();
-        c.batch.send_batch_max = 1;
-        c.batch.flush_every_frames = Some(1);
+        c.net.send_batch_max = 1;
+        c.net.signal_interval = 1;
         assert_eq!(c.try_validate(), Ok(()));
+    }
+
+    #[test]
+    fn zero_signal_interval_is_rejected() {
+        // With an interval of 0 the NIC's `n % 0 == 0` test never fires:
+        // CQ-poll cost would never be charged and `completions` would
+        // silently stay 0.
+        let mut c = ClusterConfig::test_config(2);
+        c.net.signal_interval = 0;
+        assert_eq!(c.try_validate(), Err(ConfigError::ZeroSignalInterval));
     }
 
     #[test]
     fn transport_knobs_are_validated() {
         // Sim transport ignores the TCP knobs entirely.
         let mut c = ClusterConfig::default();
-        c.tcp.max_frame_words = 0;
         c.tcp.pump_threads = 0;
         assert_eq!(c.try_validate(), Ok(()));
 
@@ -771,19 +701,12 @@ mod tests {
         assert_eq!(tcp_base().try_validate(), Ok(()));
 
         let mut c = tcp_base();
-        c.tcp.max_frame_words = 0;
-        assert_eq!(c.try_validate(), Err(ConfigError::ZeroFrameWords));
-
-        let mut c = tcp_base();
-        c.tcp.poll_ns = 0;
-        assert_eq!(c.try_validate(), Err(ConfigError::ZeroTransportPoll));
-
-        let mut c = tcp_base();
         c.tcp.pump_threads = 0;
         assert_eq!(c.try_validate(), Err(ConfigError::ZeroPumpThreads));
 
+        let addr: std::net::SocketAddr = "127.0.0.1:9000".parse().unwrap();
         let mut c = tcp_base();
-        c.tcp.addrs = Some(vec!["127.0.0.1:9000".to_string()]);
+        c.tcp.addrs = Some(vec![addr]);
         assert_eq!(
             c.try_validate(),
             Err(ConfigError::TransportAddrCount {
@@ -793,24 +716,11 @@ mod tests {
         );
 
         let mut c = tcp_base();
-        c.tcp.addrs = Some(vec![
-            "127.0.0.1:9000".to_string(),
-            "not-an-addr".to_string(),
-        ]);
-        assert!(matches!(
+        c.tcp.addrs = Some(vec![addr, addr]);
+        assert_eq!(
             c.try_validate(),
-            Err(ConfigError::TransportAddrInvalid { .. })
-        ));
-
-        let mut c = tcp_base();
-        c.tcp.addrs = Some(vec![
-            "127.0.0.1:9000".to_string(),
-            "127.0.0.1:9000".to_string(),
-        ]);
-        assert!(matches!(
-            c.try_validate(),
-            Err(ConfigError::TransportAddrCollision { .. })
-        ));
+            Err(ConfigError::TransportAddrCollision { addr })
+        );
 
         // Reliable delivery over TCP is fine with a benign plan...
         let mut c = tcp_base();

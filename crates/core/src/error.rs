@@ -3,6 +3,7 @@
 //! ([`DArrayError`]).
 
 use std::fmt;
+use std::net::SocketAddr;
 
 use rdma_fabric::NodeId;
 
@@ -132,29 +133,21 @@ pub enum ConfigError {
         heartbeat_ns: dsim::VTime,
         lease_ns: dsim::VTime,
     },
-    /// `tcp.max_frame_words == 0`: every one-sided WRITE would be split
-    /// into zero-word frames forever.
-    ZeroFrameWords,
-    /// `tcp.poll_ns == 0`: the Rx thread would busy-poll the inbox without
-    /// ever advancing virtual time, starving every simulated timer.
-    ZeroTransportPoll,
     /// `tcp.pump_threads == 0`: no event-loop thread would service the
     /// node's links, so no frame could ever leave or arrive.
     ZeroPumpThreads,
-    /// `batch.send_batch_max == 0`: no egress flush could ever carry a
+    /// `net.send_batch_max == 0`: no egress flush could ever carry a
     /// frame, so the doorbell ring would back up forever.
     ZeroSendBatch,
-    /// `batch.flush_every_frames == Some(0)`: the selective-signaling
-    /// interval would divide by zero (use `None` for the backend default).
-    ZeroFlushInterval,
+    /// `net.signal_interval == 0`: no posted frame would ever be signaled,
+    /// so CQ-poll cost would never be charged and `completions` would stay
+    /// 0.
+    ZeroSignalInterval,
     /// The static TCP address map has the wrong number of entries.
     TransportAddrCount { expected: usize, got: usize },
-    /// An entry in the static TCP address map is not a parseable
-    /// `ip:port` socket address.
-    TransportAddrInvalid { addr: String },
     /// Two nodes in the static TCP address map share an address (port
     /// collision) — both listeners cannot bind.
-    TransportAddrCollision { addr: String },
+    TransportAddrCollision { addr: SocketAddr },
     /// `transport` selects the TCP backend but the crate was built without
     /// the `tcp-transport` cargo feature.
     TcpFeatureDisabled,
@@ -241,21 +234,13 @@ impl fmt::Display for ConfigError {
                 "fault.heartbeat_ns ({heartbeat_ns}) must be below fault.lease_ns \
                  ({lease_ns}) or idle leases expire between heartbeats"
             ),
-            ConfigError::ZeroFrameWords => write!(f, "tcp.max_frame_words must be nonzero"),
-            ConfigError::ZeroTransportPoll => write!(f, "tcp.poll_ns must be nonzero"),
             ConfigError::ZeroPumpThreads => write!(f, "tcp.pump_threads must be nonzero"),
-            ConfigError::ZeroSendBatch => write!(f, "batch.send_batch_max must be nonzero"),
-            ConfigError::ZeroFlushInterval => write!(
-                f,
-                "batch.flush_every_frames must be nonzero (None selects the backend default)"
-            ),
+            ConfigError::ZeroSendBatch => write!(f, "net.send_batch_max must be nonzero"),
+            ConfigError::ZeroSignalInterval => write!(f, "net.signal_interval must be nonzero"),
             ConfigError::TransportAddrCount { expected, got } => write!(
                 f,
                 "tcp.addrs must list one address per node ({expected} nodes, {got} addresses)"
             ),
-            ConfigError::TransportAddrInvalid { addr } => {
-                write!(f, "tcp.addrs entry {addr:?} is not a valid ip:port address")
-            }
             ConfigError::TransportAddrCollision { addr } => write!(
                 f,
                 "tcp.addrs entry {addr} is assigned to more than one node (port collision)"
@@ -374,12 +359,12 @@ mod tests {
 
     #[test]
     fn transport_errors_name_the_knob() {
-        assert!(ConfigError::ZeroFrameWords
+        assert!(ConfigError::ZeroPumpThreads
             .to_string()
-            .contains("max_frame_words"));
-        assert!(ConfigError::ZeroTransportPoll
+            .contains("pump_threads"));
+        assert!(ConfigError::ZeroSignalInterval
             .to_string()
-            .contains("poll_ns"));
+            .contains("signal_interval"));
         assert!(ConfigError::TransportAddrCount {
             expected: 3,
             got: 2
@@ -387,7 +372,7 @@ mod tests {
         .to_string()
         .contains("3 nodes"));
         assert!(ConfigError::TransportAddrCollision {
-            addr: "127.0.0.1:9000".to_string()
+            addr: "127.0.0.1:9000".parse().unwrap()
         }
         .to_string()
         .contains("127.0.0.1:9000"));
@@ -420,11 +405,11 @@ mod tests {
         assert!(ConfigError::CheckpointWithoutDurability
             .to_string()
             .contains("durability.policy"));
-        let e = DArrayError::Config(ConfigError::ZeroFrameWords);
+        let e = DArrayError::Config(ConfigError::ZeroPumpThreads);
         assert!(e.to_string().contains("invalid ClusterConfig"));
         assert_eq!(
-            DArrayError::from(ConfigError::ZeroFrameWords),
-            DArrayError::Config(ConfigError::ZeroFrameWords)
+            DArrayError::from(ConfigError::ZeroPumpThreads),
+            DArrayError::Config(ConfigError::ZeroPumpThreads)
         );
     }
 }

@@ -81,8 +81,8 @@ pub use array::DArray;
 pub use cache::PoolStats;
 pub use cluster::{Cluster, GlobalArray, NodeEnv};
 pub use config::{
-    default_runtime_threads, AccessPath, ArrayOptions, BatchConfig, CacheConfig, ClusterConfig,
-    DurabilityConfig, FaultConfig, TcpTransportConfig, TransportKind, DEFAULT_CHUNK_SIZE,
+    default_runtime_threads, AccessPath, ArrayOptions, CacheConfig, ClusterConfig,
+    DurabilityConfig, FaultConfig, TransportKind, DEFAULT_CHUNK_SIZE,
 };
 pub use element::Element;
 pub use error::{ConfigError, DArrayError, UnavailableKind};
@@ -100,8 +100,8 @@ pub use store::{
 // Re-export the substrate types callers need to configure a cluster.
 pub use dsim::{Ctx, Sim, SimBarrier, SimConfig, VTime};
 pub use rdma_fabric::{
-    AsymmetricLoss, CostModel, FaultPlan, NetConfig, NodeId, Partition, SimTransport, Transport,
-    TransportStats, Wire,
+    AsymmetricLoss, CostModel, FaultPlan, NetConfig, NodeId, Partition, SimTransport, TcpOptions,
+    Transport, TransportStats, Wire,
 };
 #[cfg(feature = "tcp-transport")]
-pub use rdma_fabric::{TcpFabric, TcpOptions, TcpTransport};
+pub use rdma_fabric::{TcpFabric, TcpTransport};

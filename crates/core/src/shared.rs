@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use dsim::{Mailbox, WaitCell};
 use parking_lot::{Mutex, RwLock};
-use rdma_fabric::{MemoryRegion, NicStatsSnapshot, NodeId, Transport, TransportStats};
+use rdma_fabric::{MemoryRegion, NodeId, Transport, TransportStats};
 
 use crate::cache::CacheRegion;
 use crate::comm::RelMsg;
@@ -289,14 +289,6 @@ impl ClusterShared {
         chunk: ChunkId,
     ) -> &Mailbox<RtMsg> {
         &self.rt_mailboxes[node][self.rt_index(array, chunk)]
-    }
-
-    /// Raw simulated-NIC statistics of a node (re-exported for benchmarks).
-    /// All-zero when the node's transport is not backed by the simulated
-    /// NIC; use [`ClusterShared::transport_stats`] for backend-agnostic
-    /// counters.
-    pub(crate) fn nic_stats(&self, node: NodeId) -> NicStatsSnapshot {
-        self.transports[node].nic_stats().unwrap_or_default()
     }
 
     /// Backend-agnostic transport counters of a node.

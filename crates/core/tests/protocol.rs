@@ -2,7 +2,10 @@
 //! reads, writes, ownership migration, the Operated state, eviction under
 //! cache pressure, distributed locks, pins, and determinism.
 
-use darray::{AccessPath, ArrayOptions, Cluster, ClusterConfig, Ctx, PinMode, Sim, SimConfig};
+use darray::{
+    AccessPath, ArrayOptions, Cluster, ClusterConfig, Ctx, PinMode, Sim, SimConfig,
+    DEFAULT_CHUNK_SIZE,
+};
 
 fn sim() -> Sim {
     Sim::new(SimConfig::default())
@@ -504,10 +507,18 @@ fn stats_reflect_activity() {
         assert!(s1.fast_hits > 0);
         assert!(s1.slow_misses > 0, "remote scan must miss");
         assert!(s1.fills > 0);
-        let n1 = cluster.nic_stats(1);
-        assert!(n1.sends > 0);
-        let n0 = cluster.nic_stats(0);
-        assert!(n0.writes > 0, "fills are one-sided WRITEs from the home");
+        assert!(s1.frames > 0 && s1.bytes_tx > 0);
+        // Fills are one-sided WRITEs of whole chunks from the home: its
+        // bytes on the wire cover every filled chunk, which SEND-only
+        // protocol traffic (16-byte payloads here) could never reach.
+        let chunk_bytes = (DEFAULT_CHUNK_SIZE * 8) as u64;
+        let s0 = cluster.stats(0);
+        assert!(
+            s0.bytes_tx >= s1.fills * chunk_bytes,
+            "home sent {} bytes for {} chunk fills",
+            s0.bytes_tx,
+            s1.fills
+        );
     });
 }
 

@@ -291,8 +291,8 @@ fn tcp_matches_sim_through_join_and_migration() {
 /// link.
 fn batched_config(kind: TransportKind) -> ClusterConfig {
     let mut cfg = parity_config(kind);
-    cfg.batch.send_batch_max = 4;
-    cfg.batch.flush_every_frames = Some(8);
+    cfg.net.send_batch_max = 4;
+    cfg.net.signal_interval = 8;
     cfg.tcp.pump_threads = 1;
     cfg
 }
@@ -300,10 +300,12 @@ fn batched_config(kind: TransportKind) -> ClusterConfig {
 /// The async event-loop pump's doorbell batching (DESIGN.md §13) is egress
 /// mechanics only: under non-default batching knobs the protocol
 /// transition counts still match dsim bit-for-bit, the TCP egress rings
-/// actually coalesce, and the counter identity
-/// `frames == tx_flushes + frames_coalesced` holds on both backends.
+/// actually coalesce, and the counter identities
+/// `frames == tx_flushes + frames_coalesced` and
+/// `completions == frames / signal_interval` hold on both backends.
 #[test]
 fn tcp_matches_sim_with_batching_knobs() {
+    let interval = batched_config(TransportKind::Sim).net.signal_interval;
     let sim = run_workload(batched_config(TransportKind::Sim));
     let tcp = run_workload(batched_config(TransportKind::Tcp));
     for node in 0..NODES {
@@ -319,6 +321,11 @@ fn tcp_matches_sim_with_batching_knobs() {
                 s.frames,
                 s.tx_flushes + s.frames_coalesced,
                 "{label} node {node}: every frame either rings a doorbell or rides a batch"
+            );
+            assert_eq!(
+                s.completions,
+                s.frames / interval,
+                "{label} node {node}: one completion per {interval} frames"
             );
         }
     }
@@ -392,36 +399,24 @@ fn tcp_matches_sim_with_batching_knobs_and_durability() {
     let _ = std::fs::remove_dir_all(&tcp_dir);
 }
 
+/// `Cluster::stats` is the one per-node view on both backends: the
+/// transport rows are populated whichever backend carried the traffic.
 #[test]
-fn tcp_transport_counters_surface_in_stats() {
-    let mut cfg = parity_config(TransportKind::Tcp);
-    cfg.tx_threads = true; // Tx threads post through the same trait object.
-    let stats = run_workload(cfg);
-    for (node, s) in stats.iter().enumerate() {
-        assert!(s.bytes_tx > 0, "node {node} posted frames");
-        assert!(s.bytes_rx > 0, "node {node} received frames");
-        assert!(s.frames > 0, "node {node} counted frames");
-        assert!(s.completions > 0, "node {node} observed completions");
+fn transport_counters_surface_in_stats() {
+    for kind in [TransportKind::Sim, TransportKind::Tcp] {
+        let mut cfg = parity_config(kind);
+        cfg.tx_threads = true; // Tx threads post through the same trait object.
+        let stats = run_workload(cfg);
+        for (node, s) in stats.iter().enumerate() {
+            assert!(s.bytes_tx > 0, "{kind:?} node {node} posted frames");
+            assert!(s.bytes_rx > 0, "{kind:?} node {node} received frames");
+            assert!(s.frames > 0, "{kind:?} node {node} counted frames");
+            assert!(
+                s.completions > 0,
+                "{kind:?} node {node} observed completions"
+            );
+        }
     }
-}
-
-#[test]
-fn sim_counters_still_surface_alongside_nic_stats() {
-    let cfg = parity_config(TransportKind::Sim);
-    Sim::new(SimConfig::default()).run(move |ctx| {
-        let cluster = Cluster::new(ctx, cfg);
-        let arr = cluster.alloc::<u64>(NODES * DEFAULT_CHUNK_SIZE, ArrayOptions::default());
-        cluster.run(ctx, 1, move |ctx, env| {
-            // All three nodes write elements homed at node 0.
-            let a = arr.on(env.node);
-            a.set(ctx, env.node, 1);
-            env.barrier(ctx);
-        });
-        let s = cluster.stats(1);
-        assert!(s.bytes_tx > 0 && s.frames > 0, "overlay works on sim too");
-        assert!(cluster.nic_stats(1).sends > 0, "raw NIC view preserved");
-        cluster.shutdown(ctx);
-    });
 }
 
 /// Graceful shutdown: tearing a cluster down drains the egress rings and
@@ -473,7 +468,7 @@ fn tcp_bring_up_failure_is_a_structured_error() {
     let taken = blocker.local_addr().unwrap();
     let mut cfg = parity_config(TransportKind::Tcp);
     cfg.nodes = 2;
-    cfg.tcp.addrs = Some(vec![taken.to_string(), "127.0.0.1:0".to_string()]);
+    cfg.tcp.addrs = Some(vec![taken, "127.0.0.1:0".parse().unwrap()]);
     let err = Sim::new(SimConfig::default()).run(move |ctx| match Cluster::try_new(ctx, cfg) {
         Ok(cluster) => {
             cluster.shutdown(ctx);
@@ -495,11 +490,11 @@ fn tcp_without_feature_is_rejected_by_validation() {
     // (This file only builds with the feature, so exercise the *validation*
     // path that callers without the feature would hit: a nonsense knob.)
     let mut cfg = parity_config(TransportKind::Tcp);
-    cfg.tcp.max_frame_words = 0;
+    cfg.tcp.pump_threads = 0;
     let err = Sim::new(SimConfig::default()).run(move |ctx| Cluster::try_new(ctx, cfg).err());
     assert_eq!(
         err,
-        Some(DArrayError::Config(ConfigError::ZeroFrameWords)),
+        Some(DArrayError::Config(ConfigError::ZeroPumpThreads)),
         "invalid transport knobs must be rejected before bring-up"
     );
 }

@@ -82,7 +82,7 @@ struct Link {
 /// through two-sided verbs into the node's receive mailbox.
 pub struct Nic<M> {
     node: NodeId,
-    cfg: NetConfig,
+    pub(crate) cfg: NetConfig,
     /// Outgoing link state, indexed by destination node.
     links: Vec<Link>,
     /// Receive mailboxes of every node in the fabric (including our own).
@@ -298,25 +298,6 @@ impl<M: Send + 'static> Nic<M> {
         arrive
     }
 
-    /// One-sided WRITE followed by a SEND on the same queue pair: RC FIFO
-    /// ordering guarantees the data lands before the notification is
-    /// processed (§4.5: application data via WRITE, protocol messages via
-    /// SEND/RECV).
-    #[allow(clippy::too_many_arguments)]
-    pub fn rdma_write_send(
-        &self,
-        ctx: &mut Ctx,
-        dst: NodeId,
-        region: &MemoryRegion,
-        offset: usize,
-        data: Vec<u64>,
-        msg: M,
-        msg_payload_bytes: u64,
-    ) {
-        self.rdma_write(ctx, dst, region, offset, data);
-        self.send(ctx, dst, msg, msg_payload_bytes);
-    }
-
     /// One-sided RDMA FETCH_ADD on an 8-byte word of `region` (owned by
     /// `dst`): atomically adds `delta` at the remote NIC and returns the
     /// previous value after a full round trip. (DArray itself does not use
@@ -455,6 +436,10 @@ impl<M: Send + 'static> Fabric<M> {
             cfg.bytes_per_us > 0,
             "NetConfig::bytes_per_us must be nonzero (tx_time would divide by zero)"
         );
+        assert!(
+            cfg.signal_interval > 0,
+            "NetConfig::signal_interval must be nonzero"
+        );
         let rx_of: Vec<Mailbox<(NodeId, M)>> = (0..n)
             .map(|i| Mailbox::new(&format!("nic-rx-{i}")))
             .collect();
@@ -556,7 +541,8 @@ mod tests {
             let fab: Fabric<&'static str> = Fabric::new(2, NetConfig::default());
             let region = MemoryRegion::new(64);
             let n0 = fab.nic(0);
-            n0.rdma_write_send(ctx, 1, &region, 8, vec![5, 6, 7], "filled", 8);
+            n0.rdma_write(ctx, 1, &region, 8, vec![5, 6, 7]);
+            n0.send(ctx, 1, "filled", 8);
             let (_, m) = fab.nic(1).rx().recv(ctx);
             assert_eq!(m, "filled");
             assert_eq!(region.read_vec(8, 3), vec![5, 6, 7]);

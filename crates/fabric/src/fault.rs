@@ -11,8 +11,9 @@
 //! * **Latency jitter** — every remote SEND/WRITE serializes for an extra
 //!   uniform `0..=jitter_ns` on its link. Jitter is added to the link's
 //!   busy window (not to the arrival stamp alone), so per-link delivery
-//!   stays monotone and RC FIFO ordering — which `rdma_write_send` relies
-//!   on for data-before-notification — is preserved.
+//!   stays monotone and RC FIFO ordering — which a WRITE followed by its
+//!   notification SEND relies on for data-before-notification — is
+//!   preserved.
 //! * **NIC stalls** — with probability `stall_ppm` per remote verb, the
 //!   posting NIC freezes: all its subsequent transmissions start no earlier
 //!   than `now + stall_ns` (a uniform draw from the configured window).

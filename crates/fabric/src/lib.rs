@@ -11,12 +11,13 @@
 //!   [`NetConfig`], matching the paper's measurement.
 //! * **Two-sided SEND/RECV** — protocol (coherence) messages.
 //! * **RC queue-pair FIFO ordering** — per directed link, delivery times
-//!   are monotone, so a WRITE posted before a SEND lands first. The
-//!   [`Nic::rdma_write_send`] helper exploits this for data+notification.
+//!   are monotone, so a WRITE posted before a SEND lands first;
+//!   [`Transport::write_send`] relies on this for data+notification.
 //! * **Link serialization** — each directed link is a shared 100 Gbps
 //!   resource; transmissions queue behind each other.
 //! * **Selective signaling** (§4.5) — completion-queue polling cost is
-//!   charged once every `signal_interval` posted verbs instead of per verb.
+//!   charged once every [`NetConfig::signal_interval`] posted verbs
+//!   instead of per verb.
 //!
 //! The crate also hosts the [`CostModel`]: the calibrated CPU-side cost
 //! constants (native access, atomic RMW, mutex, hash probe, ...) shared by
@@ -35,10 +36,10 @@ mod transport;
 pub use cost::CostModel;
 pub use fabric::{Fabric, Nic, NicStats, NicStatsSnapshot};
 pub use fault::{AsymmetricLoss, FaultPlan, Partition};
-pub use net::NetConfig;
+pub use net::{NetConfig, TcpOptions};
 pub use region::MemoryRegion;
 #[cfg(feature = "tcp-transport")]
-pub use tcp::{TcpFabric, TcpOptions, TcpTransport};
+pub use tcp::{TcpFabric, TcpTransport};
 pub use transport::{SimTransport, Transport, TransportStats, Wire};
 
 /// Node identifier within a fabric (0-based, dense).

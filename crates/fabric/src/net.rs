@@ -1,9 +1,14 @@
-//! Network parameters of the simulated fabric.
+//! Network parameters shared by every transport backend, plus the
+//! deployment settings of the TCP backend.
+
+use std::net::SocketAddr;
 
 use dsim::VTime;
 
-/// Fabric configuration. Defaults are calibrated to the paper's testbed:
+/// Network configuration. Defaults are calibrated to the paper's testbed:
 /// ConnectX-4 100 Gbps InfiniBand, one-sided READ round trip ≈ 2 µs.
+/// `signal_interval` and `send_batch_max` apply to every backend; the rest
+/// model the simulated wire.
 #[derive(Debug, Clone)]
 pub struct NetConfig {
     /// One-way propagation + switching + DMA latency (ns). With the default
@@ -17,8 +22,12 @@ pub struct NetConfig {
     /// CPU cost of polling one completion from the CQ, ns.
     pub cq_poll_ns: VTime,
     /// Generate a signaled completion only every `signal_interval` work
-    /// requests (selective signaling, §4.5). 1 disables the optimization.
+    /// requests (selective signaling, §4.5). 1 disables the optimization;
+    /// must be nonzero.
     pub signal_interval: u64,
+    /// Most frames one egress flush (doorbell) may carry; whole WRITE+MSG
+    /// trains only. 1 disables coalescing; must be nonzero.
+    pub send_batch_max: usize,
     /// Fixed wire size of a protocol message header, bytes.
     pub header_bytes: u64,
 }
@@ -31,6 +40,7 @@ impl Default for NetConfig {
             post_overhead_ns: 80,
             cq_poll_ns: 120,
             signal_interval: 64,
+            send_batch_max: 16,
             header_bytes: 32,
         }
     }
@@ -46,6 +56,7 @@ impl NetConfig {
             post_overhead_ns: 0,
             cq_poll_ns: 0,
             signal_interval: 1,
+            send_batch_max: 16,
             header_bytes: 0,
         }
     }
@@ -55,6 +66,31 @@ impl NetConfig {
     pub fn tx_time(&self, bytes: u64) -> VTime {
         // bytes / (bytes/µs) in ns, rounding up.
         (bytes * 1_000).div_ceil(self.bytes_per_us)
+    }
+}
+
+/// Deployment settings of the TCP backend (`tcp-transport` feature). Always
+/// compiled, so configuration handling does not change shape with the
+/// feature set.
+#[derive(Debug, Clone)]
+pub struct TcpOptions {
+    /// Static listen addresses, one per node. `None` (default) binds
+    /// ephemeral loopback ports, which cannot collide across concurrently
+    /// running meshes.
+    pub addrs: Option<Vec<SocketAddr>>,
+    /// Pump threads per node: the fixed event-loop pool that multiplexes
+    /// all of the node's links (nonblocking sockets + `poll(2)`), never
+    /// one thread per link, and never more pumps than links. Must be
+    /// nonzero.
+    pub pump_threads: usize,
+}
+
+impl Default for TcpOptions {
+    fn default() -> Self {
+        Self {
+            addrs: None,
+            pump_threads: 2,
+        }
     }
 }
 

@@ -33,7 +33,7 @@
 //!   frames onto the destination link's *egress ring* and, when the ring
 //!   was idle, ring the doorbell (one byte down the owning pump's wake
 //!   pipe). The pump coalesces whatever has accumulated — up to
-//!   [`TcpOptions::send_batch_max`] frames — into a single
+//!   [`NetConfig::send_batch_max`] frames — into a single
 //!   `write_vectored` flush. A link whose socket is full (`WouldBlock`)
 //!   parks its batch and waits for `POLLOUT`; its backlog grows on its own
 //!   ring and never blocks a sim thread or another link (head-of-line
@@ -57,7 +57,7 @@
 
 use std::collections::VecDeque;
 use std::io::{self, IoSlice, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -68,6 +68,7 @@ use std::time::{Duration, Instant};
 use dsim::Ctx;
 use parking_lot::Mutex;
 
+use crate::net::{NetConfig, TcpOptions};
 use crate::region::MemoryRegion;
 use crate::transport::{Transport, TransportStats, Wire};
 use crate::NodeId;
@@ -75,6 +76,15 @@ use crate::NodeId;
 const FRAME_HELLO: u8 = 0;
 const FRAME_MSG: u8 = 1;
 const FRAME_WRITE: u8 = 2;
+
+/// Largest one-sided WRITE carried by a single frame, in words; bigger
+/// writes are split into consecutive frames (per-stream FIFO keeps them
+/// ordered ahead of the notification).
+const MAX_FRAME_WORDS: usize = 4096;
+
+/// Virtual nanoseconds charged per empty inbox poll in
+/// [`TcpTransport::recv`]; models receive-side CQ polling.
+const POLL_NS: u64 = 200;
 
 // ---------------------------------------------------------------------------
 // poll(2) via the C library (always linked on the platforms this backend
@@ -116,43 +126,6 @@ fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
 }
 
 // ---------------------------------------------------------------------------
-
-/// Knobs for [`TcpFabric`] bring-up.
-#[derive(Debug, Clone)]
-pub struct TcpOptions {
-    /// Largest one-sided WRITE carried by a single frame; bigger writes are
-    /// split into consecutive frames (per-stream FIFO keeps them ordered).
-    pub max_frame_words: usize,
-    /// Virtual nanoseconds charged per empty inbox poll in
-    /// [`TcpTransport::recv`]; models receive-side CQ polling.
-    pub poll_ns: u64,
-    /// Static listen addresses, one per node. `None` binds ephemeral
-    /// loopback ports (the right default for in-process tests, immune to
-    /// port collisions between parallel test binaries).
-    pub addrs: Option<Vec<SocketAddr>>,
-    /// Pump threads per node: the fixed pool that multiplexes all of the
-    /// node's links (never more threads than links). Independent of
-    /// cluster size by construction.
-    pub pump_threads: usize,
-    /// Most frames one egress flush (`write_vectored` call) may carry.
-    pub send_batch_max: usize,
-    /// Selective signaling: count one completion every N-th flushed frame
-    /// instead of one per flush. `None` keeps the per-flush default.
-    pub flush_every_frames: Option<u64>,
-}
-
-impl Default for TcpOptions {
-    fn default() -> Self {
-        Self {
-            max_frame_words: 4096,
-            poll_ns: 200,
-            addrs: None,
-            pump_threads: 2,
-            send_batch_max: 16,
-            flush_every_frames: None,
-        }
-    }
-}
 
 /// Registered-region table shared by every endpoint of one fabric.
 #[derive(Default)]
@@ -197,28 +170,19 @@ struct TcpCounters {
 
 impl TcpCounters {
     /// Account one committed flush of `nframes` frames: the flush/batch
-    /// counters plus completions under the selected signaling policy.
-    fn flush(&self, nframes: u64, flush_every: Option<u64>) {
+    /// counters plus one completion per `signal_interval`-th flushed frame
+    /// (selective signaling).
+    fn flush(&self, nframes: u64, signal_interval: u64) {
         self.tx_flushes.fetch_add(1, Ordering::Relaxed);
         if nframes >= 2 {
             self.doorbell_batches.fetch_add(1, Ordering::Relaxed);
             self.frames_coalesced
                 .fetch_add(nframes - 1, Ordering::Relaxed);
         }
-        match flush_every {
-            // Default: the flush itself is the signaled completion.
-            None => {
-                self.completions.fetch_add(1, Ordering::Relaxed);
-            }
-            // Selective signaling: one completion per N-th flushed frame.
-            Some(n) => {
-                let n = n.max(1);
-                let before = self.signaled_cursor.fetch_add(nframes, Ordering::Relaxed);
-                let crossed = (before + nframes) / n - before / n;
-                if crossed > 0 {
-                    self.completions.fetch_add(crossed, Ordering::Relaxed);
-                }
-            }
+        let before = self.signaled_cursor.fetch_add(nframes, Ordering::Relaxed);
+        let crossed = (before + nframes) / signal_interval - before / signal_interval;
+        if crossed > 0 {
+            self.completions.fetch_add(crossed, Ordering::Relaxed);
         }
     }
 }
@@ -246,14 +210,12 @@ struct TxLink {
 /// One node's endpoint in a [`TcpFabric`] mesh.
 pub struct TcpTransport<M: Wire> {
     node: NodeId,
-    max_frame_words: usize,
-    poll_ns: u64,
     /// Outgoing links, indexed by peer; `None` for self.
     links: Vec<Option<Arc<TxLink>>>,
     inbox: Arc<Mutex<VecDeque<(NodeId, M)>>>,
     regions: Arc<RegionTable>,
     counters: Arc<TcpCounters>,
-    flush_every: Option<u64>,
+    signal_interval: u64,
     pumps: Mutex<Vec<JoinHandle<()>>>,
     down: Arc<AtomicBool>,
 }
@@ -289,7 +251,7 @@ struct PumpShared<M: Wire> {
     counters: Arc<TcpCounters>,
     down: Arc<AtomicBool>,
     send_batch_max: u64,
-    flush_every: Option<u64>,
+    signal_interval: u64,
 }
 
 /// One link as seen by its owning pump: the socket, the Rx reassembly
@@ -430,7 +392,7 @@ fn flush_link<M: Wire>(link: &mut PumpLink, sh: &PumpShared<M>) -> bool {
             ring.depth_frames -= batched;
             drop(ring);
             link.inflight_off = 0;
-            sh.counters.flush(batched, sh.flush_every);
+            sh.counters.flush(batched, sh.signal_interval);
         }
         // Write the in-flight batch outside the ring lock: senders keep
         // enqueueing while the syscall runs.
@@ -583,7 +545,7 @@ impl<M: Wire> TcpTransport<M> {
             .fetch_add(frame_bytes, Ordering::Relaxed);
         self.counters.frames.fetch_add(1, Ordering::Relaxed);
         // A self-delivery is its own single-frame flush.
-        self.counters.flush(1, self.flush_every);
+        self.counters.flush(1, self.signal_interval);
         self.inbox.lock().push_back((self.node, msg));
     }
 
@@ -663,7 +625,7 @@ impl<M: Wire> Transport<M> for TcpTransport<M> {
         if dst == self.node {
             region.write_slice(offset, &data);
             self.counters.frames.fetch_add(1, Ordering::Relaxed);
-            self.counters.flush(1, self.flush_every);
+            self.counters.flush(1, self.signal_interval);
             self.deliver_local(msg);
             return;
         }
@@ -674,7 +636,7 @@ impl<M: Wire> Transport<M> for TcpTransport<M> {
         let mut buf = Vec::with_capacity(data.len() * 8 + 64);
         let mut nframes = 0u64;
         let mut chunk_off = offset;
-        for part in data.chunks(self.max_frame_words.max(1)) {
+        for part in data.chunks(MAX_FRAME_WORDS) {
             let len = (1 + 4 + 8 + part.len() * 8) as u32;
             buf.extend_from_slice(&len.to_le_bytes());
             buf.push(FRAME_WRITE);
@@ -704,7 +666,7 @@ impl<M: Wire> Transport<M> for TcpTransport<M> {
             if let Some(item) = self.inbox.lock().pop_front() {
                 return item;
             }
-            ctx.spin_hint(self.poll_ns);
+            ctx.spin_hint(POLL_NS);
         }
     }
 
@@ -762,6 +724,8 @@ fn read_hello(stream: &mut TcpStream) -> io::Result<NodeId> {
 
 impl<M: Wire> TcpFabric<M> {
     /// Bind listeners, connect the full mesh, and start the pump pools.
+    /// `net` supplies the backend-neutral knobs (`send_batch_max`,
+    /// `signal_interval`); `opts` the deployment settings.
     ///
     /// Connection plan: node `i` dials every higher-numbered peer and
     /// announces itself with a HELLO frame; node `j`'s listener therefore
@@ -769,10 +733,11 @@ impl<M: Wire> TcpFabric<M> {
     /// sockets; each stream turns nonblocking when it is handed to its
     /// pump. All sockets are connected before any transport is handed out,
     /// so no sim thread ever blocks on connection establishment.
-    pub fn new(nodes: usize, opts: TcpOptions) -> io::Result<Self> {
+    pub fn new(nodes: usize, net: &NetConfig, opts: &TcpOptions) -> io::Result<Self> {
         assert!(nodes > 0, "tcp fabric needs at least one node");
         assert!(opts.pump_threads > 0, "tcp fabric needs at least one pump");
-        assert!(opts.send_batch_max > 0, "send_batch_max must be nonzero");
+        assert!(net.send_batch_max > 0, "send_batch_max must be nonzero");
+        assert!(net.signal_interval > 0, "signal_interval must be nonzero");
         if let Some(addrs) = &opts.addrs {
             assert_eq!(addrs.len(), nodes, "one listen address per node");
         }
@@ -880,8 +845,8 @@ impl<M: Wire> TcpFabric<M> {
                     regions: regions.clone(),
                     counters: counters.clone(),
                     down: down.clone(),
-                    send_batch_max: opts.send_batch_max.max(1) as u64,
-                    flush_every: opts.flush_every_frames,
+                    send_batch_max: net.send_batch_max as u64,
+                    signal_interval: net.signal_interval,
                 };
                 pumps.push(std::thread::spawn(move || {
                     pump_loop::<M>(my_links, wake_rx, sh);
@@ -889,13 +854,11 @@ impl<M: Wire> TcpFabric<M> {
             }
             transports.push(Arc::new(TcpTransport {
                 node: i,
-                max_frame_words: opts.max_frame_words,
-                poll_ns: opts.poll_ns,
                 links,
                 inbox,
                 regions: regions.clone(),
                 counters,
-                flush_every: opts.flush_every_frames,
+                signal_interval: net.signal_interval,
                 pumps: Mutex::new(pumps),
                 down,
             }));
@@ -912,6 +875,10 @@ impl<M: Wire> TcpFabric<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn mesh(nodes: usize) -> TcpFabric<Ping> {
+        TcpFabric::new(nodes, &NetConfig::default(), &TcpOptions::default()).unwrap()
+    }
 
     #[derive(Debug, Clone, PartialEq, Eq)]
     struct Ping(u64);
@@ -940,7 +907,7 @@ mod tests {
     #[test]
     fn tcp_send_recv_roundtrip() {
         dsim::Sim::new(dsim::SimConfig::default()).run(|ctx| {
-            let fabric = TcpFabric::<Ping>::new(2, TcpOptions::default()).unwrap();
+            let fabric = mesh(2);
             let a = fabric.transport(0);
             let b = fabric.transport(1);
             a.send(ctx, 1, Ping(11));
@@ -955,7 +922,6 @@ mod tests {
             // The message arrived, so its flush must have been committed.
             assert_eq!(s.tx_flushes, 1);
             assert_eq!(s.frames, s.tx_flushes + s.frames_coalesced);
-            assert!(Transport::<Ping>::nic_stats(&*a).is_none());
             a.shutdown();
             b.shutdown();
             a.shutdown(); // idempotent
@@ -965,23 +931,18 @@ mod tests {
     #[test]
     fn tcp_write_send_applies_data_before_notification() {
         dsim::Sim::new(dsim::SimConfig::default()).run(|ctx| {
-            let fabric = TcpFabric::<Ping>::new(
-                2,
-                TcpOptions {
-                    max_frame_words: 3, // force splitting across frames
-                    ..TcpOptions::default()
-                },
-            )
-            .unwrap();
+            let fabric = mesh(2);
             let a = fabric.transport(0);
             let b = fabric.transport(1);
-            let region = MemoryRegion::new(16);
+            // Longer than three frames: the WRITE splits into four.
+            let words = 3 * MAX_FRAME_WORDS + 10;
+            let region = MemoryRegion::new(words + 4);
             b.register_region(&region);
-            let data: Vec<u64> = (1..=10).collect();
+            let data: Vec<u64> = (1..=words as u64).collect();
             a.write_send(ctx, 1, &region, 4, data.clone(), Ping(99));
             let (_, msg) = b.recv(ctx);
             assert_eq!(msg, Ping(99));
-            assert_eq!(region.read_vec(4, 10), data);
+            assert_eq!(region.read_vec(4, words), data);
             // 4 WRITE frames + 1 MSG went out as one doorbell-batched
             // train: a single flush covering all five frames.
             let s = a.stats();
@@ -998,7 +959,7 @@ mod tests {
     #[test]
     fn tcp_self_send_short_circuits() {
         dsim::Sim::new(dsim::SimConfig::default()).run(|ctx| {
-            let fabric = TcpFabric::<Ping>::new(1, TcpOptions::default()).unwrap();
+            let fabric = mesh(1);
             let t = fabric.transport(0);
             t.send(ctx, 0, Ping(5));
             let (src, msg) = t.recv(ctx);
@@ -1015,7 +976,7 @@ mod tests {
     #[test]
     fn tcp_bursty_tx_coalesces_flushes_below_frames() {
         dsim::Sim::new(dsim::SimConfig::default()).run(|ctx| {
-            let fabric = TcpFabric::<Ping>::new(2, TcpOptions::default()).unwrap();
+            let fabric = mesh(2);
             let a = fabric.transport(0);
             let b = fabric.transport(1);
             let region = MemoryRegion::new(1 << 10);
@@ -1061,7 +1022,7 @@ mod tests {
     #[test]
     fn tcp_stalled_peer_does_not_block_other_links() {
         dsim::Sim::new(dsim::SimConfig::default()).run(|ctx| {
-            let fabric = TcpFabric::<Ping>::new(3, TcpOptions::default()).unwrap();
+            let fabric = mesh(3);
             let a = fabric.transport(0);
             let b = fabric.transport(1);
             let c = fabric.transport(2);
@@ -1113,7 +1074,7 @@ mod tests {
     fn tcp_pump_pool_is_fixed_not_per_link() {
         dsim::Sim::new(dsim::SimConfig::default()).run(|ctx| {
             let opts = TcpOptions::default();
-            let fabric = TcpFabric::<Ping>::new(6, opts.clone()).unwrap();
+            let fabric = TcpFabric::<Ping>::new(6, &NetConfig::default(), &opts).unwrap();
             for n in 0..6 {
                 let t = fabric.transport(n);
                 assert_eq!(t.pump_count(), opts.pump_threads);
@@ -1147,7 +1108,7 @@ mod tests {
         let before = os_threads();
         for round in 0..10u64 {
             dsim::Sim::new(dsim::SimConfig::default()).run(move |ctx| {
-                let fabric = TcpFabric::<Ping>::new(3, TcpOptions::default()).unwrap();
+                let fabric = mesh(3);
                 let a = fabric.transport(0);
                 let b = fabric.transport(1);
                 a.send(ctx, 1, Ping(round));
@@ -1168,19 +1129,16 @@ mod tests {
         );
     }
 
-    /// `flush_every_frames` switches completion accounting to selective
-    /// signaling: one completion per N-th flushed frame.
+    /// Completion accounting is selective signaling: one completion per
+    /// `signal_interval`-th flushed frame, as on the simulated NIC.
     #[test]
     fn tcp_selective_signaling_counts_every_nth_frame() {
         dsim::Sim::new(dsim::SimConfig::default()).run(|ctx| {
-            let fabric = TcpFabric::<Ping>::new(
-                2,
-                TcpOptions {
-                    flush_every_frames: Some(4),
-                    ..TcpOptions::default()
-                },
-            )
-            .unwrap();
+            let net = NetConfig {
+                signal_interval: 4,
+                ..NetConfig::default()
+            };
+            let fabric = TcpFabric::<Ping>::new(2, &net, &TcpOptions::default()).unwrap();
             let a = fabric.transport(0);
             let b = fabric.transport(1);
             for i in 0..10u64 {

@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use dsim::{Ctx, Mailbox};
 
-use crate::fabric::{Nic, NicStatsSnapshot};
+use crate::fabric::Nic;
 use crate::region::MemoryRegion;
 use crate::NodeId;
 
@@ -55,9 +55,9 @@ pub struct TransportStats {
     pub bytes_rx: u64,
     /// Frames (SENDs plus WRITEs) posted by this endpoint.
     pub frames: u64,
-    /// Completion events observed for posted work (the simulated NIC's
-    /// `NetConfig::signal_interval`; per flush — or every
-    /// `TcpOptions::flush_every_frames`-th frame — on TCP).
+    /// Completion events observed for posted work: one per
+    /// `NetConfig::signal_interval` frames on every backend (selective
+    /// signaling), so `completions == frames / signal_interval`.
     pub completions: u64,
     /// Egress flushes: doorbell rings on the TCP pump (each a single
     /// writev-style syscall train), batch openings on the simulated NIC.
@@ -121,12 +121,6 @@ pub trait Transport<M: Wire>: Send + Sync {
     /// Byte/frame/completion counters for this endpoint.
     fn stats(&self) -> TransportStats;
 
-    /// Raw simulated-NIC counters, when this endpoint is backed by one.
-    /// Real backends return `None`.
-    fn nic_stats(&self) -> Option<NicStatsSnapshot> {
-        None
-    }
-
     /// Tear down backend resources (sockets, pump threads). Idempotent;
     /// the simulated backend has nothing to release.
     fn shutdown(&self) {}
@@ -143,7 +137,6 @@ pub struct SimTransport<M: Send + 'static> {
     rx: Mailbox<(NodeId, M)>,
     bytes_rx: AtomicU64,
     frames_rx: AtomicU64,
-    send_batch_max: usize,
     /// Doorbell accounting (pure bookkeeping — never charges virtual
     /// time): per-destination depth of the batch currently riding the
     /// link's busy window, plus the flush/batch counters derived from it.
@@ -155,25 +148,18 @@ pub struct SimTransport<M: Send + 'static> {
 }
 
 impl<M: Send + 'static> SimTransport<M> {
-    /// Wrap one node's simulated NIC with the default batch cap of 16
-    /// frames per flush.
+    /// Wrap one node's simulated NIC. A doorbell batch is capped at the
+    /// NIC's `NetConfig::send_batch_max` frames; the cap only steers
+    /// *accounting* (which frames count as coalesced into one doorbell
+    /// batch), so virtual-time behaviour and protocol traffic stay
+    /// bit-identical across caps.
     pub fn new(nic: Arc<Nic<M>>) -> Self {
-        Self::with_send_batch_max(nic, 16)
-    }
-
-    /// Wrap one node's simulated NIC, capping a doorbell batch at
-    /// `send_batch_max` frames. The cap only steers *accounting* (which
-    /// frames count as coalesced into one doorbell batch); virtual-time
-    /// behaviour is untouched, so protocol traffic stays bit-identical
-    /// across caps.
-    pub fn with_send_batch_max(nic: Arc<Nic<M>>, send_batch_max: usize) -> Self {
         let rx = nic.rx();
         Self {
             nic,
             rx,
             bytes_rx: AtomicU64::new(0),
             frames_rx: AtomicU64::new(0),
-            send_batch_max,
             batch_depth: parking_lot::Mutex::new(Vec::new()),
             tx_flushes: AtomicU64::new(0),
             doorbell_batches: AtomicU64::new(0),
@@ -194,7 +180,7 @@ impl<M: Send + 'static> SimTransport<M> {
         if depths.len() <= dst {
             depths.resize(dst + 1, 0);
         }
-        let cap = self.send_batch_max.max(1) as u64;
+        let cap = self.nic.cfg.send_batch_max.max(1) as u64;
         let depth = &mut depths[dst];
         if busy && *depth > 0 && *depth < cap {
             *depth += 1;
@@ -235,10 +221,11 @@ impl<M: Wire> Transport<M> for SimTransport<M> {
         msg: M,
     ) {
         let bytes = msg.payload_bytes();
-        // Same two verbs `Nic::rdma_write_send` issues, decomposed so the
-        // notification SEND is accounted *after* the WRITE has claimed the
-        // link: the pair then counts as one doorbell batch, exactly like
-        // the WRITE+MSG frame train the TCP backend flushes in one writev.
+        // WRITE then SEND on the same RC link (FIFO: the data lands
+        // first), with the notification accounted *after* the WRITE has
+        // claimed the link: the pair then counts as one doorbell batch,
+        // exactly like the WRITE+MSG frame train the TCP backend flushes
+        // in one writev.
         self.account_post(ctx, dst);
         self.nic.rdma_write(ctx, dst, region, offset, data);
         self.account_post(ctx, dst);
@@ -273,10 +260,6 @@ impl<M: Wire> Transport<M> for SimTransport<M> {
             frames_coalesced: self.frames_coalesced.load(Ordering::Relaxed),
             ring_hwm: self.ring_hwm.load(Ordering::Relaxed),
         }
-    }
-
-    fn nic_stats(&self) -> Option<NicStatsSnapshot> {
-        Some(self.nic.stats())
     }
 }
 
@@ -315,7 +298,6 @@ mod tests {
             assert!(sa.bytes_tx > 0);
             let sb = b.stats();
             assert_eq!(sb.bytes_rx, 8);
-            assert!(a.nic_stats().is_some());
         });
     }
 

@@ -57,7 +57,8 @@ proptest! {
                 n0.send(ctx, 1, 1000 + i as u32, *bytes);
             }
             let data: Vec<u64> = (0..payload as u64).collect();
-            n0.rdma_write_send(ctx, 1, &region, 0, data, 7, 8);
+            n0.rdma_write(ctx, 1, &region, 0, data);
+            n0.send(ctx, 1, 7, 8);
             let rx = fab.nic(1).rx();
             loop {
                 let (_, msg) = rx.recv(ctx);

@@ -1,6 +1,6 @@
 //! A tour of the extended cache coherence protocol (§4.4): drive one chunk
 //! through Unshared → Shared → Dirty → Operated → Unshared and print the
-//! runtime/NIC statistics showing each transition's traffic.
+//! per-node statistics showing each transition's traffic.
 //!
 //! Run with: `cargo run --release --example coherence_inspector`
 
@@ -28,10 +28,9 @@ fn main() {
             let mut line = format!("{tag:<28}");
             for n in 0..3 {
                 let s = cluster.stats(n);
-                let nic = cluster.nic_stats(n);
                 line += &format!(
-                    " | n{n}: fills={:<2} inval={:<2} wb={:<2} flush={:<2} sends={:<3}",
-                    s.fills, s.invalidations, s.writebacks, s.operand_flushes, nic.sends
+                    " | n{n}: fills={:<2} inval={:<2} wb={:<2} flush={:<2} frames={:<3}",
+                    s.fills, s.invalidations, s.writebacks, s.operand_flushes, s.frames
                 );
             }
             println!("{line}");

@@ -1,9 +1,11 @@
 //! The BENCH report path end to end on the simulated backend: a small
 //! lock-contended workload renders a byte-identical `BENCH_*.json` body run
-//! to run, and its cluster-wide counters keep the transport identity
-//! `frames == tx_flushes + frames_coalesced`.
+//! to run, and its counters keep the transport identities
+//! `frames == tx_flushes + frames_coalesced` and, per node,
+//! `completions == frames / signal_interval`.
 
-use darray::NodeStatsSnapshot;
+use darray::{ArrayOptions, Cluster, NodeStatsSnapshot, Sim, SimConfig};
+use darray_bench::bench_cluster_config;
 use darray_bench::operate::zipf_update;
 use darray_bench::report::render_bench_json;
 
@@ -34,4 +36,37 @@ fn bench_body_is_deterministic_and_frames_balance() {
         traffic.tx_flushes + traffic.frames_coalesced,
         "every frame either rings a doorbell or rides an open batch"
     );
+}
+
+/// Selective signaling is one knob on every backend: each node counts one
+/// completion per `net.signal_interval` frames it posted.
+#[test]
+fn completions_follow_the_signal_interval_per_node() {
+    let nodes = 3;
+    let cfg = bench_cluster_config(nodes);
+    let interval = cfg.net.signal_interval;
+    let stats = Sim::new(SimConfig::default()).run(move |ctx| {
+        let cluster = Cluster::new(ctx, cfg);
+        let arr = cluster.alloc::<u64>(4_096, ArrayOptions::default());
+        cluster.run(ctx, 1, move |ctx, env| {
+            let a = arr.on(env.node);
+            for i in (env.node..a.len()).step_by(61) {
+                a.wlock(ctx, i);
+                let v = a.get(ctx, i);
+                a.set(ctx, i, v + 1);
+                a.unlock(ctx, i);
+            }
+        });
+        let stats: Vec<NodeStatsSnapshot> = (0..nodes).map(|n| cluster.stats(n)).collect();
+        cluster.shutdown(ctx);
+        stats
+    });
+    for (node, s) in stats.iter().enumerate() {
+        assert!(s.frames > interval, "node {node}: {s:?}");
+        assert_eq!(
+            s.completions,
+            s.frames / interval,
+            "node {node}: one completion per {interval} frames"
+        );
+    }
 }

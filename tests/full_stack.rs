@@ -60,13 +60,12 @@ fn whole_stack_is_deterministic() {
             let stats: Vec<u64> = (0..2)
                 .flat_map(|n| {
                     let s = cluster.stats(n);
-                    let nic = cluster.nic_stats(n);
                     vec![
                         s.fills,
                         s.slow_misses,
                         s.operand_flushes,
-                        nic.sends,
-                        nic.send_bytes,
+                        s.frames,
+                        s.bytes_tx,
                     ]
                 })
                 .collect();
