@@ -221,10 +221,9 @@ fn main() {
                 ..CacheConfig::default()
             };
             let (t, tr) = scan(cfg, 1, 131_072, ops / 4, true);
-            traffic.push((
-                format!("a6_wm{:02}_{:02}", (lo * 100.0) as u32, (hi * 100.0) as u32),
-                tr,
-            ));
+            let name = format!("a6_wm{:02}_{:02}", (lo * 100.0) as u32, (hi * 100.0) as u32);
+            metrics.push((format!("{name}_mops"), t));
+            traffic.push((name, tr));
             rows.push(vec![format!("{lo:.2}/{hi:.2}"), fmt(t)]);
         }
         print_table(

@@ -41,9 +41,10 @@ pub(crate) struct CacheRegion {
     base: u32,
     /// Number of lines in this region.
     lines: u32,
-    /// Reclamation trigger: free-count strictly below this starts a scan.
+    /// Reclamation trigger: free-count strictly below this starts a
+    /// reclamation episode.
     low: u32,
-    /// Reclamation target: scanning stops once free-count reaches this.
+    /// Reclamation target: the episode ends once free-count reaches this.
     high: u32,
     /// Total successful allocations (relaxed; observability only).
     allocs: AtomicU64,
@@ -67,7 +68,9 @@ struct Inner {
 impl CacheRegion {
     pub(crate) fn new(base: u32, lines: u32, low_frac: f64, high_frac: f64) -> Self {
         assert!(lines > 0);
-        let low = ((lines as f64 * low_frac).floor() as u32).min(lines);
+        // At least one line: an empty pool always starts a reclamation
+        // episode, however small the pool.
+        let low = ((lines as f64 * low_frac).floor() as u32).clamp(1, lines);
         let high = ((lines as f64 * high_frac).ceil() as u32).clamp(low, lines);
         Self {
             base,
@@ -120,6 +123,11 @@ impl CacheRegion {
         self.evictions.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Evictions charged to this pool so far.
+    pub(crate) fn evictions(&self) -> u64 {
+        self.evictions.load(Ordering::Relaxed)
+    }
+
     /// Observability snapshot of this pool.
     pub(crate) fn stats(&self) -> PoolStats {
         let free = self.free_count();
@@ -129,7 +137,7 @@ impl CacheRegion {
             occupied: self.lines - free,
             peak_occupied: self.peak_occupied.load(Ordering::Relaxed) as u32,
             allocs: self.allocs.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
+            evictions: self.evictions(),
         }
     }
 
@@ -276,9 +284,9 @@ mod tests {
     fn tiny_region_watermarks_are_sane() {
         let c = CacheRegion::new(0, 1, 0.3, 0.5);
         assert_eq!(c.capacity(), 1);
-        assert!(!c.below_low()); // low watermark floors to 0
+        assert!(!c.below_low()); // low watermark is one line: only empty is below it
         let l = c.alloc(0, 0).unwrap();
-        assert!(c.below_high());
+        assert!(c.below_low() && c.below_high());
         c.free(l);
     }
 }

@@ -18,11 +18,13 @@ pub struct CacheConfig {
     /// of which owns an independent cache region with its own scanning
     /// pointer, Figure 7).
     pub capacity_lines: usize,
-    /// Reclamation starts when the fraction of free cachelines in a region
-    /// drops below this (paper default 30 %).
+    /// A reclamation episode starts when the fraction of free cachelines
+    /// in a region drops below this (paper default 30 %); an empty region
+    /// always starts one. During the episode every allocation evicts at
+    /// most two lines.
     pub low_watermark: f64,
-    /// Reclamation stops once the free fraction exceeds this (paper default
-    /// 50 %).
+    /// The reclamation episode ends once the free fraction reaches this
+    /// (paper default 50 %).
     pub high_watermark: f64,
     /// Cachelines to prefetch ahead of a sequential read miss, issued from
     /// the slow path only (§4.2 "Cache prefetch"). 0 disables.
@@ -141,7 +143,7 @@ pub struct DurabilityConfig {
     pub dir: Option<PathBuf>,
     /// Take a full-image checkpoint of each node's store once this many
     /// records have been persisted since the last one (polled at the
-    /// runtime's batch points: eviction scans, epoch closes). `None`
+    /// runtime's batch points: reclamation episode ends, epoch closes). `None`
     /// (default) disables periodic checkpoints; explicit
     /// `Cluster::checkpoint_all` calls still work. Requires a durable
     /// `policy`; `Some(0)` is rejected by validation.

@@ -43,6 +43,11 @@ use crate::stats::NodeStats;
 
 mod locks;
 
+/// Lines one allocation evicts at most during a reclamation episode: one
+/// replaces the line it takes, one moves the free count toward the high
+/// watermark. Two is the smallest count that makes net progress.
+const EVICTIONS_PER_ALLOC: usize = 2;
+
 /// Continuation run after a deferred drain completes: feed the matching
 /// machine its completion event.
 enum Cont {
@@ -73,6 +78,9 @@ pub(crate) struct RuntimeThread {
     ready: Vec<(ArrayId, ChunkId, Cont)>,
     /// Last read-miss chunk, for sequential-pattern prefetch detection.
     last_miss: Option<(ArrayId, ChunkId)>,
+    /// Lines scanned so far by the running reclamation episode (`None`
+    /// between episodes).
+    episode_scanned: Option<u32>,
 }
 
 impl RuntimeThread {
@@ -94,6 +102,7 @@ impl RuntimeThread {
             deferred: Vec::new(),
             ready: Vec::new(),
             last_miss: None,
+            episode_scanned: None,
         }
     }
 
@@ -372,7 +381,7 @@ impl RuntimeThread {
                 // AwaitPersist and resumes the acknowledgement only now.
                 // Under the Writethrough policy the record is also fsynced
                 // here; under Writeback it reaches disk at the next batch
-                // point (eviction scan or shutdown).
+                // point (end of a reclamation episode, or shutdown).
                 let store = self.shared.stores[self.node]
                     .as_ref()
                     .expect("durable home machine without a chunk store");
@@ -385,8 +394,8 @@ impl RuntimeThread {
                     .expect("durable chunk store persist failed");
                 // Epoch-close compaction trigger (DESIGN.md §14): the
                 // persist counter just advanced, so poll the cheap
-                // threshold check. Home-heavy nodes may never run an
-                // eviction scan, so this is the trigger that actually
+                // threshold check. Home-heavy nodes may never run a
+                // reclamation episode, so this is the trigger that actually
                 // fires for them; `maybe_checkpoint` is a no-op unless
                 // `checkpoint_every_persists` is due.
                 store
@@ -869,17 +878,38 @@ impl RuntimeThread {
     // Cache allocation & eviction (Figure 7)
     // ------------------------------------------------------------------
 
+    /// Hand out a line for `chunk`, pacing watermark reclamation (§4.2,
+    /// Figure 7). Free count below the low watermark starts a reclamation
+    /// episode; while it lasts, each allocation evicts at most
+    /// [`EVICTIONS_PER_ALLOC`] lines, so the reclaim cost and its notice
+    /// and writeback frames spread over many misses instead of landing on
+    /// one. The episode ends at the high watermark or after one full scan
+    /// cycle of the pool.
     fn alloc_line(&mut self, ctx: &mut Ctx, arr: &Arc<ArrayShared>, chunk: ChunkId) -> u32 {
+        if self.episode_scanned.is_none() && self.cache.below_low() {
+            self.episode_scanned = Some(0);
+        }
+        if let Some(mut scanned) = self.episode_scanned {
+            for _ in 0..EVICTIONS_PER_ALLOC {
+                if !self.cache.below_high() || !self.evict_next(ctx, &mut scanned) {
+                    break;
+                }
+            }
+            self.episode_scanned = Some(scanned);
+            if !self.cache.below_high() || scanned >= self.cache.capacity() {
+                self.episode_scanned = None;
+                self.durability_batch_point();
+            }
+        }
         let mut spins: u64 = 0;
         loop {
-            if self.cache.below_low() {
-                self.reclaim(ctx);
-            }
             if let Some(line) = self.cache.alloc(arr.id, chunk) {
                 ctx.charge(self.shared.cfg.cost.cacheline_alloc_ns);
                 return line;
             }
-            self.reclaim(ctx);
+            // Pool exhausted: the same one-line step, with a fresh
+            // full-cycle scan budget per pass.
+            self.evict_next(ctx, &mut 0);
             if self.cache.free_count() == 0 {
                 // Everything is pinned or in flight; wait for references to
                 // drop (bounded, to turn misuse into a diagnostic).
@@ -897,15 +927,16 @@ impl RuntimeThread {
         }
     }
 
-    /// Scan this thread's cache region from its scanning pointer, evicting
-    /// idle lines until the free count exceeds the high watermark. The
-    /// *selection* (skip referenced / mid-transition lines) is executor
-    /// policy; the per-state eviction protocol is the cache machine's.
-    fn reclaim(&mut self, ctx: &mut Ctx) {
+    /// Advance this thread's scanning pointer to the next idle line and
+    /// evict it, counting scanned lines in `scanned` and stopping once it
+    /// reaches one full cycle of the pool. Returns whether a line was
+    /// evicted. The *selection* (skip referenced / mid-transition lines)
+    /// is executor policy; the per-state eviction protocol is the cache
+    /// machine's.
+    fn evict_next(&mut self, ctx: &mut Ctx, scanned: &mut u32) -> bool {
         let cap = self.cache.capacity();
-        let mut scanned = 0;
-        while self.cache.below_high() && scanned < cap {
-            scanned += 1;
+        while *scanned < cap {
+            *scanned += 1;
             ctx.charge(self.shared.cfg.cost.evict_scan_ns);
             let line = self.cache.scan_next();
             let Some((aid, c)) = self.cache.owner(line) else {
@@ -916,30 +947,39 @@ impl RuntimeThread {
             if d.delay_set() || d.refcnt() > 0 {
                 continue; // accessed or mid-transition: not evictable
             }
+            let before = self.cache.evictions();
             self.cache_event(ctx, &arr, c, CacheEvent::Evict, None);
-        }
-        self.drain_ready(ctx);
-        // Writeback durability batch point (DESIGN.md §14): the eviction
-        // scan just pushed a burst of dirty images through the home
-        // machines (and thus into the buffered log); flush them to disk in
-        // one syscall instead of one per record. Writethrough syncs per
-        // record in `persist`, so this is a no-op there; for `None` there
-        // is no store at all.
-        if let Some(store) = &self.shared.stores[self.node] {
-            if matches!(
-                self.shared.cfg.durability.policy,
-                crate::store::DurabilityPolicy::Writeback
-            ) {
-                store.sync().expect("durable chunk store batch sync failed");
+            self.drain_ready(ctx);
+            if self.cache.evictions() > before {
+                return true;
             }
-            // Eviction-scan compaction boundary: the log is now synced (or
-            // syncs per record under Writethrough), which is the cheapest
-            // moment to fold it into a checkpoint and drop the covered
-            // prefix. No-op unless the persist threshold is due.
-            store
-                .maybe_checkpoint()
-                .expect("durable chunk store checkpoint failed");
         }
+        false
+    }
+
+    /// Writeback durability batch point (DESIGN.md §14), run once at the
+    /// end of each reclamation episode: the episode pushed its dirty
+    /// images through the home machines (and thus into the buffered log);
+    /// flush them to disk in one syscall instead of one per record.
+    /// Writethrough syncs per record in `persist`, so the sync is skipped
+    /// there; for `None` there is no store at all.
+    fn durability_batch_point(&self) {
+        let Some(store) = &self.shared.stores[self.node] else {
+            return;
+        };
+        if matches!(
+            self.shared.cfg.durability.policy,
+            crate::store::DurabilityPolicy::Writeback
+        ) {
+            store.sync().expect("durable chunk store batch sync failed");
+        }
+        // Compaction boundary: the log is now synced (or syncs per record
+        // under Writethrough), which is the cheapest moment to fold it into
+        // a checkpoint and drop the covered prefix. No-op unless the
+        // persist threshold is due.
+        store
+            .maybe_checkpoint()
+            .expect("durable chunk store checkpoint failed");
     }
 
     // ------------------------------------------------------------------

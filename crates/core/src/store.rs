@@ -48,7 +48,8 @@ pub enum DurabilityPolicy {
     #[default]
     None,
     /// Flushes append to the log through a write buffer; the buffer is
-    /// synced at batch boundaries (eviction scans, epoch closes, shutdown).
+    /// synced at batch boundaries (reclamation episode ends, epoch closes,
+    /// shutdown).
     /// A crash may lose the unsynced tail — but never an already-synced
     /// record, and never the log's integrity (the torn tail is truncated
     /// on reopen).
@@ -159,7 +160,7 @@ pub trait ChunkStore: Send + Sync {
     }
 
     /// Checkpoint only if the periodic threshold has been reached; polled
-    /// by the runtime at batch points (eviction scans, epoch closes).
+    /// by the runtime at batch points (reclamation episode ends, epoch closes).
     /// Returns whether a checkpoint ran.
     fn maybe_checkpoint(&self) -> io::Result<bool> {
         Ok(false)
