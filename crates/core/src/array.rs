@@ -8,6 +8,7 @@
 //! retries.
 
 use std::marker::PhantomData;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use dsim::{Ctx, WaitCell};
@@ -187,13 +188,24 @@ impl<T: Element> DArray<T> {
     /// Fallible [`DArray::get`]: returns [`DArrayError::NodeUnavailable`]
     /// when the element's home node has been declared down and no local copy
     /// is cached (only possible when `ClusterConfig::fault` is set).
+    ///
+    /// A miss while this node holds a write lock on an element of the same
+    /// chunk is taken as the read half of a read-modify-write: it fetches
+    /// the chunk Exclusive, so the `set` that follows is a fast hit instead
+    /// of a second (upgrade) miss.
     pub fn try_get(&self, ctx: &mut Ctx, index: usize) -> Result<T, DArrayError> {
         let chunk = self.arr.layout.chunk_of(index) as ChunkId;
         let bits = self.try_access(
             ctx,
             index,
             Want::Read,
-            || LocalKind::Read { chunk },
+            || {
+                if self.write_locked_in(chunk) {
+                    LocalKind::Write { chunk }
+                } else {
+                    LocalKind::Read { chunk }
+                }
+            },
             |region, word, _, _| region.load(word),
         )?;
         Ok(T::from_bits(bits))
@@ -404,14 +416,19 @@ impl<T: Element> DArray<T> {
     }
 
     fn note_held(&self, index: usize, kind: LockKind) {
-        let mut held = self.arr.per_node[self.node].held.lock();
+        let node = &self.arr.per_node[self.node];
+        let mut held = node.held.lock();
         let e = held.entry(index as u64).or_insert((kind, 0));
         debug_assert_eq!(e.0, kind, "mixed lock kinds held on index {index}");
         e.1 += 1;
+        if kind == LockKind::Write {
+            node.write_held.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     fn take_held(&self, index: usize) -> LockKind {
-        let mut held = self.arr.per_node[self.node].held.lock();
+        let node = &self.arr.per_node[self.node];
+        let mut held = node.held.lock();
         let e = held
             .get_mut(&(index as u64))
             .unwrap_or_else(|| panic!("unlock({index}) without a held lock"));
@@ -420,6 +437,22 @@ impl<T: Element> DArray<T> {
         if e.1 == 0 {
             held.remove(&(index as u64));
         }
+        if kind == LockKind::Write {
+            node.write_held.fetch_sub(1, Ordering::Relaxed);
+        }
         kind
+    }
+
+    /// Does this node hold a write lock on some element of `chunk`? One
+    /// atomic load when it holds none.
+    fn write_locked_in(&self, chunk: ChunkId) -> bool {
+        let node = &self.arr.per_node[self.node];
+        if node.write_held.load(Ordering::Relaxed) == 0 {
+            return false;
+        }
+        let layout = &self.arr.layout;
+        node.held.lock().iter().any(|(&index, &(kind, _))| {
+            kind == LockKind::Write && layout.chunk_of(index as usize) == chunk as usize
+        })
     }
 }

@@ -3,7 +3,7 @@
 //! runtime layer and communication layer all reference.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dsim::{Mailbox, WaitCell};
@@ -42,6 +42,9 @@ pub(crate) struct ArrayNode {
     /// Locks held by application threads of this node, for `unlock(index)`
     /// (kind + recursion count for multiple local readers).
     pub held: Mutex<HashMap<u64, (LockKind, u32)>>,
+    /// Number of write locks in `held`, so a read miss can tell without
+    /// taking the mutex that no read-modify-write is in flight here.
+    pub write_held: AtomicU32,
 }
 
 /// Cluster-global state of one distributed array.
@@ -104,6 +107,7 @@ impl ArrayShared {
                     lock_table: Mutex::new(LockTable::default()),
                     lock_waiters: Mutex::new(HashMap::new()),
                     held: Mutex::new(HashMap::new()),
+                    write_held: AtomicU32::new(0),
                 }
             })
             .collect();

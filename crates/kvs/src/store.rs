@@ -140,61 +140,76 @@ impl<B: KvBackend> KvsView<B> {
         (chain_pos * BUCKET_SLOTS as u64) as usize
     }
 
-    /// Read the pair at `entry` and return its value if the key matches
-    /// (Figure 11's probe body).
-    fn read_pair_if_match(&self, ctx: &mut Ctx, e: Entry, key: &[u8]) -> Option<Vec<u8>> {
+    /// The header word of the pair at `e` if its key is `key`, else `None`
+    /// (the key-only compare of Figure 11's probe body).
+    fn pair_header_if_match(&self, ctx: &mut Ctx, e: Entry, key: &[u8]) -> Option<u64> {
         let base_word = (e.offset() / 8) as usize;
         let header = self.bytes.get(ctx, base_word);
-        let key_len = (header & 0xFFFF_FFFF) as usize;
-        let val_len = (header >> 32) as usize;
-        if key_len != key.len() {
+        if (header & 0xFFFF_FFFF) as usize != key.len() {
             return None;
         }
-        let key_words = key_len.div_ceil(8);
-        // Compare the key.
-        for w in 0..key_words {
-            let word = self.bytes.get(ctx, base_word + 1 + w);
-            let bytes = word.to_le_bytes();
-            let lo = w * 8;
-            let hi = (lo + 8).min(key_len);
-            if bytes[..hi - lo] != key[lo..hi] {
+        for (w, part) in key.chunks(8).enumerate() {
+            let word = self.bytes.get(ctx, base_word + 1 + w).to_le_bytes();
+            if word[..part.len()] != *part {
                 return None;
             }
         }
-        // Read the value.
-        let val_words = val_len.div_ceil(8);
+        Some(header)
+    }
+
+    /// Copy out the value of the pair at `e`, whose header is `header`.
+    fn read_value(&self, ctx: &mut Ctx, e: Entry, header: u64) -> Vec<u8> {
+        let key_words = ((header & 0xFFFF_FFFF) as usize).div_ceil(8);
+        let val_len = (header >> 32) as usize;
+        let first = (e.offset() / 8) as usize + 1 + key_words;
         let mut out = Vec::with_capacity(val_len);
-        for w in 0..val_words {
-            let word = self.bytes.get(ctx, base_word + 1 + key_words + w);
-            let bytes = word.to_le_bytes();
-            let lo = w * 8;
-            let hi = (lo + 8).min(val_len);
-            out.extend_from_slice(&bytes[..hi - lo]);
+        for w in 0..val_len.div_ceil(8) {
+            let bytes = self.bytes.get(ctx, first + w).to_le_bytes();
+            out.extend_from_slice(&bytes[..(val_len - w * 8).min(8)]);
         }
-        Some(out)
+        out
     }
 
     /// Retrieve a key's value (Figure 11): hash to a bucket, probe its 15
     /// entries by tag, follow the overflow pointer if needed.
+    ///
+    /// `get` takes no lock, so a `put` can swap the entry it read and free
+    /// the old pair, and another `put` can reuse that slab slot, while the
+    /// pair is being read. Two checks catch it, and both restart the probe
+    /// from the head bucket: a tag match whose key differs re-reads its
+    /// entry word, and a copied value is kept only if the pair's header and
+    /// key are still the same afterwards. A put of the *same* key that
+    /// reuses the same slot mid-copy (ABA) is not detected.
     pub fn get(&self, ctx: &mut Ctx, key: &[u8]) -> Option<Vec<u8>> {
         let cfg = &self.kvs.cfg;
         let tag = tag_of(key);
-        let mut chain = bucket_of(key, cfg.buckets);
-        loop {
-            let base = self.base_of(chain);
-            for slot in 0..BUCKET_ENTRIES {
-                let e = Entry(self.entries.get(ctx, base + slot));
-                if !e.is_empty() && e.tag() == tag {
-                    if let Some(v) = self.read_pair_if_match(ctx, e, key) {
+        'probe: loop {
+            let mut chain = bucket_of(key, cfg.buckets);
+            loop {
+                let base = self.base_of(chain);
+                for idx in base..base + BUCKET_ENTRIES {
+                    let e = Entry(self.entries.get(ctx, idx));
+                    if e.is_empty() || e.tag() != tag {
+                        continue;
+                    }
+                    let Some(header) = self.pair_header_if_match(ctx, e, key) else {
+                        if self.entries.get(ctx, idx) != e.0 {
+                            continue 'probe;
+                        }
+                        continue;
+                    };
+                    let v = self.read_value(ctx, e, header);
+                    if self.pair_header_if_match(ctx, e, key) == Some(header) {
                         return Some(v);
                     }
+                    continue 'probe;
                 }
+                let ovf = self.entries.get(ctx, base + BUCKET_ENTRIES);
+                if ovf == 0 {
+                    return None;
+                }
+                chain = cfg.buckets + (ovf - 1);
             }
-            let ovf = self.entries.get(ctx, base + BUCKET_ENTRIES);
-            if ovf == 0 {
-                return None;
-            }
-            chain = cfg.buckets + (ovf - 1);
         }
     }
 
@@ -224,95 +239,86 @@ impl<B: KvBackend> KvsView<B> {
         Ok((off, size))
     }
 
-    /// Insert or update a key under the bucket's distributed writer lock.
+    /// Give a pair's slab space back to the node that allocated it (slab
+    /// metadata is per-node).
+    fn free_pair(&self, e: Entry) {
+        let owner = self.owner_of_offset(e.offset());
+        self.kvs.slabs[owner]
+            .lock()
+            .free(e.offset(), e.size() as usize);
+    }
+
+    /// Insert or update a key. The new pair is written before the bucket's
+    /// distributed writer lock is taken: no reader can reach it until the
+    /// entry swap publishes it. The lock covers only the probe, the key
+    /// check and the swap.
     pub fn put(&self, ctx: &mut Ctx, key: &[u8], val: &[u8]) -> Result<(), KvsError> {
         let cfg = self.kvs.cfg.clone();
         let tag = tag_of(key);
         let head = bucket_of(key, cfg.buckets);
+        let (off, size) = self.write_pair(ctx, key, val)?;
+        let new_entry = Entry::pack(tag, size as u16, off);
         let lock_idx = self.base_of(head);
         self.entries.wlock(ctx, lock_idx);
-        let r = self.put_locked(ctx, &cfg, tag, head, key, val);
+        let r = self.swap_in(ctx, &cfg, head, key, new_entry);
         self.entries.unlock(ctx, lock_idx);
-        r
+        match r {
+            Ok(Some(old)) => self.free_pair(old),
+            Ok(None) => {}
+            Err(_) => self.free_pair(new_entry),
+        }
+        r.map(|_| ())
     }
 
-    fn put_locked(
+    /// Under the head bucket's lock: publish `new_entry` for `key` in
+    /// place of its existing entry, in the first empty slot of the chain,
+    /// or in a freshly chained overflow bucket. Returns the replaced entry.
+    fn swap_in(
         &self,
         ctx: &mut Ctx,
         cfg: &KvsConfig,
-        tag: u8,
         head: u64,
         key: &[u8],
-        val: &[u8],
-    ) -> Result<(), KvsError> {
-        // Probe the chain for an existing entry or the first empty slot.
+        new_entry: Entry,
+    ) -> Result<Option<Entry>, KvsError> {
+        let tag = new_entry.tag();
         let mut chain = head;
         let mut empty_slot: Option<usize> = None;
-        let mut existing: Option<(usize, Entry)> = None;
-        let last_base;
-        loop {
+        let last_base = loop {
             let base = self.base_of(chain);
-            for slot in 0..BUCKET_ENTRIES {
-                let e = Entry(self.entries.get(ctx, base + slot));
+            for idx in base..base + BUCKET_ENTRIES {
+                let e = Entry(self.entries.get(ctx, idx));
                 if e.is_empty() {
-                    if empty_slot.is_none() {
-                        empty_slot = Some(base + slot);
-                    }
-                } else if e.tag() == tag && self.read_pair_if_match(ctx, e, key).is_some() {
-                    existing = Some((base + slot, e));
-                    break;
+                    empty_slot.get_or_insert(idx);
+                } else if e.tag() == tag && self.pair_header_if_match(ctx, e, key).is_some() {
+                    self.entries.set(ctx, idx, new_entry.0);
+                    return Ok(Some(e));
                 }
-            }
-            if existing.is_some() {
-                last_base = base;
-                break;
             }
             let ovf = self.entries.get(ctx, base + BUCKET_ENTRIES);
             if ovf == 0 {
-                last_base = base;
-                break;
+                break base;
             }
             chain = cfg.buckets + (ovf - 1);
-        }
-
-        // Write the new pair first (readers racing with us keep seeing the
-        // old pair until the entry word is swapped).
-        let (off, size) = self.write_pair(ctx, key, val)?;
-        let new_entry = Entry::pack(tag, size as u16, off);
-
-        let slot_idx = if let Some((idx, old)) = existing {
-            self.entries.set(ctx, idx, new_entry.0);
-            // Reclaim the old pair's space (it lives on the node that
-            // allocated it; slab metadata is per-node).
-            let owner = self.owner_of_offset(old.offset());
-            self.kvs.slabs[owner]
-                .lock()
-                .free(old.offset(), old.size() as usize);
-            idx
-        } else if let Some(idx) = empty_slot {
-            self.entries.set(ctx, idx, new_entry.0);
-            idx
-        } else {
-            // Chain a fresh overflow bucket from this node's budget.
-            let id = {
-                let mut next = self.kvs.ovf_next[self.node].lock();
-                if *next >= cfg.overflow_per_node {
-                    // Undo the pair allocation.
-                    self.kvs.slabs[self.node].lock().free(off, size);
-                    return Err(KvsError::Full);
-                }
-                let id = self.node as u64 * cfg.overflow_per_node + *next;
-                *next += 1;
-                id
-            };
-            let new_base = self.base_of(cfg.buckets + id);
-            let idx = new_base;
-            self.entries.set(ctx, idx, new_entry.0);
-            self.entries.set(ctx, last_base + BUCKET_ENTRIES, id + 1);
-            idx
         };
-        let _ = slot_idx;
-        Ok(())
+        if let Some(idx) = empty_slot {
+            self.entries.set(ctx, idx, new_entry.0);
+            return Ok(None);
+        }
+        // Chain a fresh overflow bucket from this node's budget.
+        let id = {
+            let mut next = self.kvs.ovf_next[self.node].lock();
+            if *next >= cfg.overflow_per_node {
+                return Err(KvsError::Full);
+            }
+            let id = self.node as u64 * cfg.overflow_per_node + *next;
+            *next += 1;
+            id
+        };
+        self.entries
+            .set(ctx, self.base_of(cfg.buckets + id), new_entry.0);
+        self.entries.set(ctx, last_base + BUCKET_ENTRIES, id + 1);
+        Ok(None)
     }
 
     /// Remove a key; returns true if it was present. (An extension beyond
@@ -329,13 +335,12 @@ impl<B: KvBackend> KvsView<B> {
             let base = self.base_of(chain);
             for slot in 0..BUCKET_ENTRIES {
                 let e = Entry(self.entries.get(ctx, base + slot));
-                if !e.is_empty() && e.tag() == tag && self.read_pair_if_match(ctx, e, key).is_some()
+                if !e.is_empty()
+                    && e.tag() == tag
+                    && self.pair_header_if_match(ctx, e, key).is_some()
                 {
                     self.entries.set(ctx, base + slot, Entry::EMPTY.0);
-                    let owner = self.owner_of_offset(e.offset());
-                    self.kvs.slabs[owner]
-                        .lock()
-                        .free(e.offset(), e.size() as usize);
+                    self.free_pair(e);
                     found = true;
                     break 'outer;
                 }
