@@ -2,11 +2,12 @@
 //!
 //! Compares a checked-in baseline `BENCH_*.json` against a freshly
 //! generated one and fails (exit code 1) when any protocol counter grew
-//! beyond the allowed threshold. Because every figure binary runs in
-//! deterministic virtual time, the JSON is byte-identical run-to-run: the
-//! default threshold of 0% catches *any* change in coherence traffic —
-//! an extra invalidation round, a lost fast-path hit, a recall storm —
-//! before it shows up as a latency regression.
+//! beyond the allowed threshold or any headline metric changed. Because
+//! every figure binary runs in deterministic virtual time, the JSON is
+//! byte-identical run-to-run: the default threshold of 0% catches *any*
+//! change in coherence traffic — an extra invalidation round, a lost
+//! fast-path hit, a recall storm — and the exact metric comparison catches
+//! any throughput or latency change, even one that moves no counter.
 //!
 //! ```text
 //! protocol_diff <baseline.json> <current.json> [--threshold-pct <f>] [--abs-slack <n>]
@@ -24,16 +25,20 @@
 //! - a section or counter present in the baseline but missing from the
 //!   current file fails (instrumentation was dropped);
 //! - protocol-counter decreases and brand-new counters are reported but
-//!   pass (improvements and schema growth are fine).
+//!   pass (improvements and schema growth are fine);
+//! - the `metrics` object (virtual-time throughput, latency, occupancy) is
+//!   compared exactly, key by key: a missing, extra or changed metric
+//!   fails. A metric has no "better" direction the diff could know, and
+//!   virtual time leaves no noise to forgive.
 //!
 //! `--update` replaces the baseline with the current file (after checking
 //! both parse) and exits 0 — the blessed way to regenerate baselines after
-//! an intentional protocol change or a counter-schema extension, instead
-//! of hand-editing JSON.
+//! an intentional protocol or performance change or a schema extension,
+//! instead of hand-editing JSON.
 //!
 //! The parser is hand-rolled for the restricted JSON the report writer
-//! emits (string keys, nested objects, unsigned integers) — the harness
-//! deliberately has no serde dependency.
+//! emits (string keys, nested objects, unsigned integers, fixed-point
+//! metrics) — the harness deliberately has no serde dependency.
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -43,6 +48,17 @@ use darray::StatClass;
 /// `section label -> counter name -> value`, in file order (BTreeMap for
 /// stable report ordering).
 type Traffic = BTreeMap<String, BTreeMap<String, u64>>;
+
+/// `metric name -> value`, kept as the writer's exact text so the
+/// comparison is exact.
+type Metrics = BTreeMap<String, String>;
+
+/// The parts of a `BENCH_*.json` body the diff gates.
+#[derive(Clone)]
+struct Bench {
+    metrics: Metrics,
+    traffic: Traffic,
+}
 
 /// Minimal recursive-descent scanner over the report-writer's JSON shape.
 struct Scanner<'a> {
@@ -99,6 +115,24 @@ impl<'a> Scanner<'a> {
         Ok(out)
     }
 
+    /// The text of one JSON number (the metrics are fixed-point floats).
+    fn number_text(&mut self) -> Result<String, String> {
+        self.skip_ws();
+        let start = self.pos;
+        while self.pos < self.s.len()
+            && matches!(
+                self.s[self.pos],
+                b'0'..=b'9' | b'.' | b'-' | b'+' | b'e' | b'E'
+            )
+        {
+            self.pos += 1;
+        }
+        if start == self.pos {
+            return Err(format!("expected number at byte {start}"));
+        }
+        Ok(String::from_utf8_lossy(&self.s[start..self.pos]).into_owned())
+    }
+
     fn number(&mut self) -> Result<u64, String> {
         self.skip_ws();
         let start = self.pos;
@@ -113,8 +147,11 @@ impl<'a> Scanner<'a> {
             .map_err(|e| format!("bad number at byte {start}: {e}"))
     }
 
-    /// A flat `{"name": 123, ...}` counter object.
-    fn counters(&mut self) -> Result<BTreeMap<String, u64>, String> {
+    /// A flat `{"name": <value>, ...}` object, each value read by `value`.
+    fn flat<T>(
+        &mut self,
+        mut value: impl FnMut(&mut Self) -> Result<T, String>,
+    ) -> Result<BTreeMap<String, T>, String> {
         let mut out = BTreeMap::new();
         self.expect(b'{')?;
         if self.peek() == Some(b'}') {
@@ -124,7 +161,7 @@ impl<'a> Scanner<'a> {
         loop {
             let key = self.string()?;
             self.expect(b':')?;
-            out.insert(key, self.number()?);
+            out.insert(key, value(self)?);
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
@@ -136,9 +173,9 @@ impl<'a> Scanner<'a> {
         }
     }
 
-    /// Skip a value we don't care about: a string, a number (including
-    /// the floats of the `metrics` object), or a nested object of such
-    /// values. Everything outside `protocol_traffic` goes through here.
+    /// Skip a value we don't care about: a string, a number, or a nested
+    /// object of such values. Every key other than `metrics` and
+    /// `protocol_traffic` goes through here.
     fn skip_value(&mut self) -> Result<(), String> {
         match self.peek() {
             Some(b'"') => self.string().map(|_| ()),
@@ -162,30 +199,18 @@ impl<'a> Scanner<'a> {
                     }
                 }
             }
-            Some(c) if c.is_ascii_digit() || c == b'-' => {
-                let start = self.pos;
-                while self.pos < self.s.len()
-                    && matches!(
-                        self.s[self.pos],
-                        b'0'..=b'9' | b'.' | b'-' | b'+' | b'e' | b'E'
-                    )
-                {
-                    self.pos += 1;
-                }
-                if start == self.pos {
-                    return Err(format!("expected number at byte {start}"));
-                }
-                Ok(())
-            }
+            Some(c) if c.is_ascii_digit() || c == b'-' => self.number_text().map(|_| ()),
             other => Err(format!("unskippable value (found {other:?})")),
         }
     }
 }
 
-/// Parse one `BENCH_*.json` body into its `protocol_traffic` sections.
-fn parse_bench(body: &str) -> Result<Traffic, String> {
+/// Parse one `BENCH_*.json` body into its `metrics` and its
+/// `protocol_traffic` sections.
+fn parse_bench(body: &str) -> Result<Bench, String> {
     let mut sc = Scanner::new(body);
     sc.expect(b'{')?;
+    let mut metrics = Metrics::new();
     let mut traffic = Traffic::new();
     loop {
         match sc.peek() {
@@ -194,25 +219,10 @@ fn parse_bench(body: &str) -> Result<Traffic, String> {
         }
         let key = sc.string()?;
         sc.expect(b':')?;
-        if key == "protocol_traffic" {
-            sc.expect(b'{')?;
-            if sc.peek() == Some(b'}') {
-                sc.pos += 1;
-            } else {
-                loop {
-                    let label = sc.string()?;
-                    sc.expect(b':')?;
-                    traffic.insert(label, sc.counters()?);
-                    match sc.peek() {
-                        Some(b',') => sc.pos += 1,
-                        Some(b'}') => {
-                            sc.pos += 1;
-                            break;
-                        }
-                        other => return Err(format!("expected ',' or '}}' (found {other:?})")),
-                    }
-                }
-            }
+        if key == "metrics" {
+            metrics = sc.flat(Scanner::number_text)?;
+        } else if key == "protocol_traffic" {
+            traffic = sc.flat(|sc| sc.flat(Scanner::number))?;
         } else {
             sc.skip_value()?;
         }
@@ -220,7 +230,7 @@ fn parse_bench(body: &str) -> Result<Traffic, String> {
             sc.pos += 1;
         }
     }
-    Ok(traffic)
+    Ok(Bench { metrics, traffic })
 }
 
 /// One rule violation or informational note.
@@ -231,13 +241,35 @@ struct Finding {
 
 /// Apply the diff rules; findings in deterministic (sorted) order.
 fn diff(
-    baseline: &Traffic,
-    current: &Traffic,
+    baseline: &Bench,
+    current: &Bench,
     pct: f64,
     slack: u64,
     transport_pct: f64,
 ) -> Vec<Finding> {
     let mut out = Vec::new();
+    for (name, base) in &baseline.metrics {
+        match current.metrics.get(name) {
+            None => out.push(Finding {
+                fatal: true,
+                msg: format!("metric `{name}` missing from current run"),
+            }),
+            Some(cur) if cur != base => out.push(Finding {
+                fatal: true,
+                msg: format!("metric `{name}` changed {base} -> {cur}"),
+            }),
+            Some(_) => {}
+        }
+    }
+    for name in current.metrics.keys() {
+        if !baseline.metrics.contains_key(name) {
+            out.push(Finding {
+                fatal: true,
+                msg: format!("new metric `{name}` (not in baseline)"),
+            });
+        }
+    }
+    let (baseline, current) = (&baseline.traffic, &current.traffic);
     for (label, base_counters) in baseline {
         let Some(cur_counters) = current.get(label) else {
             out.push(Finding {
@@ -376,7 +408,7 @@ fn main() -> ExitCode {
             std::process::exit(2);
         })
     };
-    let parse = |p: &str, body: &str| -> Traffic {
+    let parse = |p: &str, body: &str| -> Bench {
         parse_bench(body).unwrap_or_else(|e| {
             eprintln!("protocol_diff: cannot parse {p}: {e}");
             std::process::exit(2);
@@ -388,7 +420,7 @@ fn main() -> ExitCode {
         // parse (a malformed report should never be checked in); the old
         // baseline need not even exist.
         let body = read(cp);
-        let sections = parse(cp, &body).len();
+        let sections = parse(cp, &body).traffic.len();
         if let Err(e) = std::fs::write(bp, &body) {
             eprintln!("protocol_diff: cannot write {bp}: {e}");
             return ExitCode::from(2);
@@ -412,9 +444,10 @@ fn main() -> ExitCode {
         ExitCode::FAILURE
     } else {
         println!(
-            "protocol_diff: OK — {} section(s), no counter above threshold {pct}% + {slack} \
-             (transport band ±{transport_pct}%)",
-            baseline.len()
+            "protocol_diff: OK — {} metric(s) unchanged, {} section(s), no counter above \
+             threshold {pct}% + {slack} (transport band ±{transport_pct}%)",
+            baseline.metrics.len(),
+            baseline.traffic.len()
         );
         ExitCode::SUCCESS
     }
@@ -435,7 +468,7 @@ mod tests {
 
     #[test]
     fn parses_sections_and_counters() {
-        let t = parse_bench(SAMPLE).unwrap();
+        let t = parse_bench(SAMPLE).unwrap().traffic;
         assert_eq!(t.len(), 2);
         assert_eq!(t["a_1n"]["fills"], 10);
         assert_eq!(t["b_2n"]["invalidations"], 2);
@@ -443,13 +476,12 @@ mod tests {
     }
 
     #[test]
-    fn skips_metrics_object_with_floats() {
+    fn changed_missing_or_new_metric_fails() {
         let body = r#"{
   "bench": "fig12",
   "metrics": {
     "read_t4_rt1_mops": 12.345678,
     "read_t4_rt2_mops": 20.100000,
-    "empty": {},
     "negative_exp": -1.5e-3
   },
   "protocol_traffic": {
@@ -457,9 +489,25 @@ mod tests {
   }
 }
 "#;
-        let t = parse_bench(body).unwrap();
-        assert_eq!(t.len(), 1, "metrics must not become sections");
-        assert_eq!(t["read_t4_rt2"]["fills"], 7);
+        let base = parse_bench(body).unwrap();
+        assert_eq!(base.traffic.len(), 1, "metrics must not become sections");
+        assert_eq!(base.traffic["read_t4_rt2"]["fills"], 7);
+        assert_eq!(base.metrics["negative_exp"], "-1.5e-3");
+        let fatal = |cur: &Bench| diff(&base, cur, 100.0, 99, 100.0).iter().any(|f| f.fatal);
+        assert!(!fatal(&base));
+        // A throughput change fails even at the loosest counter knobs, and
+        // even when it is an improvement: no counter moved to flag it.
+        let mut cur = base.clone();
+        cur.metrics
+            .insert("read_t4_rt1_mops".into(), "12.345679".into());
+        assert!(fatal(&cur));
+        let mut cur = base.clone();
+        cur.metrics.remove("read_t4_rt2_mops");
+        assert!(fatal(&cur));
+        let mut cur = base.clone();
+        cur.metrics
+            .insert("write_t4_rt1_mops".into(), "1.000000".into());
+        assert!(fatal(&cur));
     }
 
     #[test]
@@ -476,14 +524,15 @@ mod tests {
             )],
         );
         let parsed = parse_bench(&body).unwrap();
-        assert_eq!(parsed.len(), 1);
-        assert_eq!(parsed["x"]["fills"], 4);
+        assert_eq!(parsed.metrics["x_mops"], "1.250000");
+        assert_eq!(parsed.traffic.len(), 1);
+        assert_eq!(parsed.traffic["x"]["fills"], 4);
     }
 
     #[test]
     fn parses_empty_traffic() {
         let t = parse_bench("{\"bench\": \"x\", \"protocol_traffic\": {}}").unwrap();
-        assert!(t.is_empty());
+        assert!(t.traffic.is_empty() && t.metrics.is_empty());
     }
 
     #[test]
@@ -497,7 +546,11 @@ mod tests {
     fn increase_beyond_threshold_fails() {
         let base = parse_bench(SAMPLE).unwrap();
         let mut cur = base.clone();
-        *cur.get_mut("a_1n").unwrap().get_mut("fills").unwrap() = 12;
+        *cur.traffic
+            .get_mut("a_1n")
+            .unwrap()
+            .get_mut("fills")
+            .unwrap() = 12;
         // 20% growth: fails at 0%, fails at 10%, passes at 25%.
         assert!(diff(&base, &cur, 0.0, 0, 10.0).iter().any(|f| f.fatal));
         assert!(diff(&base, &cur, 10.0, 0, 10.0).iter().any(|f| f.fatal));
@@ -510,7 +563,8 @@ mod tests {
     fn growth_from_zero_fails_without_slack() {
         let base = parse_bench(SAMPLE).unwrap();
         let mut cur = base.clone();
-        *cur.get_mut("a_1n")
+        *cur.traffic
+            .get_mut("a_1n")
             .unwrap()
             .get_mut("invalidations")
             .unwrap() = 1;
@@ -522,10 +576,10 @@ mod tests {
     fn missing_section_or_counter_fails() {
         let base = parse_bench(SAMPLE).unwrap();
         let mut cur = base.clone();
-        cur.remove("b_2n");
+        cur.traffic.remove("b_2n");
         assert!(diff(&base, &cur, 100.0, 99, 10.0).iter().any(|f| f.fatal));
         let mut cur2 = base.clone();
-        cur2.get_mut("a_1n").unwrap().remove("transitions");
+        cur2.traffic.get_mut("a_1n").unwrap().remove("transitions");
         assert!(diff(&base, &cur2, 100.0, 99, 10.0).iter().any(|f| f.fatal));
     }
 
@@ -533,11 +587,16 @@ mod tests {
     fn decreases_and_new_counters_are_notes() {
         let base = parse_bench(SAMPLE).unwrap();
         let mut cur = base.clone();
-        *cur.get_mut("a_1n").unwrap().get_mut("fills").unwrap() = 1;
-        cur.get_mut("a_1n")
+        *cur.traffic
+            .get_mut("a_1n")
+            .unwrap()
+            .get_mut("fills")
+            .unwrap() = 1;
+        cur.traffic
+            .get_mut("a_1n")
             .unwrap()
             .insert("epochs_aborted".into(), 0);
-        cur.insert("c_3n".into(), BTreeMap::new());
+        cur.traffic.insert("c_3n".into(), BTreeMap::new());
         let f = diff(&base, &cur, 0.0, 0, 10.0);
         assert!(f.iter().all(|x| !x.fatal));
         assert_eq!(f.len(), 3, "improvement + new counter + new section noted");
@@ -554,7 +613,11 @@ mod tests {
         // +8% bytes_tx: inside the default ±10% band even at protocol
         // threshold 0 — a note, not a failure.
         let mut cur = base.clone();
-        *cur.get_mut("w_2n").unwrap().get_mut("bytes_tx").unwrap() = 1080;
+        *cur.traffic
+            .get_mut("w_2n")
+            .unwrap()
+            .get_mut("bytes_tx")
+            .unwrap() = 1080;
         let f = diff(&base, &cur, 0.0, 0, 10.0);
         assert!(f.iter().all(|x| !x.fatal), "within band must pass");
         assert!(
@@ -562,11 +625,19 @@ mod tests {
             "drift inside the band is still reported"
         );
         // +20% leaves the band upward.
-        *cur.get_mut("w_2n").unwrap().get_mut("bytes_tx").unwrap() = 1200;
+        *cur.traffic
+            .get_mut("w_2n")
+            .unwrap()
+            .get_mut("bytes_tx")
+            .unwrap() = 1200;
         assert!(diff(&base, &cur, 0.0, 0, 10.0).iter().any(|f| f.fatal));
         // -20% leaves it downward: missing wire traffic is NOT an
         // improvement, unlike a protocol-counter decrease.
-        *cur.get_mut("w_2n").unwrap().get_mut("bytes_tx").unwrap() = 800;
+        *cur.traffic
+            .get_mut("w_2n")
+            .unwrap()
+            .get_mut("bytes_tx")
+            .unwrap() = 800;
         assert!(diff(&base, &cur, 0.0, 0, 10.0).iter().any(|f| f.fatal));
         // A wider band forgives the same drop.
         assert!(!diff(&base, &cur, 0.0, 0, 25.0).iter().any(|f| f.fatal));
@@ -583,11 +654,20 @@ mod tests {
         let mut cur = base.clone();
         // transitions +5% must still fail at the exact protocol threshold
         // even when the transport band would allow it.
-        *cur.get_mut("w_2n").unwrap().get_mut("transitions").unwrap() = 105;
+        *cur.traffic
+            .get_mut("w_2n")
+            .unwrap()
+            .get_mut("transitions")
+            .unwrap() = 105;
         assert!(diff(&base, &cur, 0.0, 0, 10.0).iter().any(|f| f.fatal));
         // frames +5% rides the transport band and passes at the same knobs.
         let mut cur2 = base.clone();
-        *cur2.get_mut("w_2n").unwrap().get_mut("frames").unwrap() = 52;
+        *cur2
+            .traffic
+            .get_mut("w_2n")
+            .unwrap()
+            .get_mut("frames")
+            .unwrap() = 52;
         assert!(!diff(&base, &cur2, 0.0, 0, 10.0).iter().any(|f| f.fatal));
     }
 
@@ -604,11 +684,20 @@ mod tests {
         // Small drift in either direction stays inside the ±10% band even
         // at protocol threshold 0.
         let mut cur = base.clone();
-        *cur.get_mut("w_2n").unwrap().get_mut("tx_flushes").unwrap() = 42;
-        *cur.get_mut("w_2n").unwrap().get_mut("ring_hwm").unwrap() = 19;
+        *cur.traffic
+            .get_mut("w_2n")
+            .unwrap()
+            .get_mut("tx_flushes")
+            .unwrap() = 42;
+        *cur.traffic
+            .get_mut("w_2n")
+            .unwrap()
+            .get_mut("ring_hwm")
+            .unwrap() = 19;
         assert!(!diff(&base, &cur, 0.0, 0, 10.0).iter().any(|f| f.fatal));
         // Doubling the batch count leaves the band and fails.
-        *cur.get_mut("w_2n")
+        *cur.traffic
+            .get_mut("w_2n")
             .unwrap()
             .get_mut("doorbell_batches")
             .unwrap() = 20;
@@ -624,7 +713,7 @@ mod tests {
             ..Default::default()
         };
         let body = darray_bench::report::render_bench_json("rt", &[("w_1n".to_string(), t)]);
-        let parsed = parse_bench(&body).unwrap();
+        let parsed = parse_bench(&body).unwrap().traffic;
         assert_eq!(parsed["w_1n"]["fills"], 3);
         assert_eq!(parsed["w_1n"]["epochs_aborted"], 1);
         assert_eq!(parsed["w_1n"]["orphaned_locks_reclaimed"], 0);
@@ -646,7 +735,7 @@ mod tests {
         let value = |name: &str| 1000 + rows.iter().position(|r| r.0 == name).unwrap() as u64;
         let t = darray::NodeStatsSnapshot::from_fn(value);
         let body = darray_bench::report::render_bench_json("rows", &[("s".to_string(), t)]);
-        let section = &parse_bench(&body).unwrap()["s"];
+        let section = &parse_bench(&body).unwrap().traffic["s"];
 
         let mut last = 0;
         for &(name, class) in &rows {

@@ -73,10 +73,10 @@ pub fn render_bench_json(name: &str, sections: &[(String, NodeStatsSnapshot)]) -
 
 /// [`render_bench_json`] plus a `metrics` object of headline numbers
 /// (throughput, per-pool occupancy, …). Virtual-time determinism makes
-/// the floats — and hence the file — byte-identical across runs; the
-/// `protocol_diff` harness skips the object, so metrics never trip the
-/// 0% counter threshold. With no metrics, the key is omitted entirely
-/// and the output is byte-identical to the pre-metrics format.
+/// the floats — and hence the file — byte-identical across runs, so
+/// `protocol_diff` compares every metric exactly against its baseline.
+/// With no metrics, the key is omitted entirely and the output is
+/// byte-identical to the pre-metrics format.
 pub fn render_bench_json_with_metrics(
     name: &str,
     metrics: &[(String, f64)],

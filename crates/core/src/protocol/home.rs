@@ -17,7 +17,7 @@ use super::{Counter, Kind, NodeId, Request, Requester, Transition, NOTAG};
 /// Transient phase of a home-side transition that is waiting for remote
 /// replies or a local reference drain. While a transient is pending, new
 /// requests queue.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Transient {
     /// The chunk is stable; requests are serviced immediately.
     None,
@@ -88,7 +88,7 @@ pub enum Transient {
 }
 
 /// Phase of an outbound chunk migration ([`Transient::MigratingOut`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum MigOutPhase {
     /// Revoking every remote right (invalidations, dirty recall, or
     /// operated recall, depending on the directory state) so the home
@@ -108,7 +108,7 @@ pub enum MigOutPhase {
 }
 
 /// Phase of an inbound chunk migration ([`Transient::MigratingIn`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum MigInPhase {
     /// Persisting the received image to the durable log before
     /// acknowledging (persist-before-ack extends to migration: the ack
@@ -410,9 +410,10 @@ pub enum HomeAction<W> {
 
 /// The home-side directory machine of one chunk. Generic over the opaque
 /// local-waiter token `W` (a wait-cell in the runtime, a plain integer in
-/// tests). `Clone` (for `W: Clone`) lets the model checker branch a world
-/// state; the runtime never clones a machine.
-#[derive(Debug, Clone)]
+/// tests). `Clone` and `Hash` (for `W: Clone + Hash`) let the model checker
+/// branch a world state and memoize it by a structural hash; the runtime
+/// never clones or hashes a machine.
+#[derive(Debug, Clone, Hash)]
 pub struct HomeMachine<W> {
     state: DirState,
     transient: Transient,

@@ -1,2015 +1,22 @@
 //! Explicit-state **crash-consistency model checker** for the coherence
-//! protocol core.
+//! protocol core: the ten searches and their coverage asserts.
 //!
-//! A `World` is one home node (a real [`HomeMachine`] + [`LockTable`] plus
-//! its dentry and drain/retry bookkeeping), two remote nodes (each a dentry
-//! snapshot driven through the *pure* [`CacheMachine`] plus an application
-//! slot and a lock slot), and four FIFO links (home→remote and remote→home
-//! per remote). The checker runs a bounded depth-first search over every
-//! interleaving of:
-//!
-//! * message deliveries (one per FIFO link),
-//! * local drains (remote Figure-5 drains, the home drain, the grace retry),
-//! * application requests (Read / Write / Operate, budget-limited),
-//! * element-lock acquire/release (budget-limited),
-//! * evictions (budget-limited), and
-//! * **node kills** — fail-stop crashes modeled exactly as the runtime sees
-//!   them: every surviving prefix of the victim's in-flight messages is
-//!   explored, followed by a `Down` marker appended *last* on each link out
-//!   of the victim (FIFO delivery means survivors consume all of the
-//!   victim's accepted traffic before learning of its death). Since the
-//!   quorum membership layer (DESIGN.md §12), the marker models a
-//!   *quorum-confirmed* death declaration — it can only exist because the
-//!   victim actually died, which is exactly the guarantee the quorum
-//!   protocol provides; and
-//! * **false suspicions** — the home may *suspect* a live remote
-//!   (`Suspect`), which parks its outgoing link exactly as the reliability
-//!   agent parks a suspected peer's send queue: nothing is discarded,
-//!   delivery just stops. While the suspect is alive the only resolution is
-//!   an internal `Refute` (its heartbeats keep its lease fresh at the other
-//!   voters, so the quorum can never confirm), which unparks the link and
-//!   replays delivery in order. If the suspect *is* killed mid-suspicion,
-//!   its `Down` marker confirms the death instead. Safety asserts a live
-//!   peer is never declared dead, so no reachable interleaving reclaims a
-//!   live peer's locks or discards its Dirty writes.
-//!
-//! States are memoized by a canonical encoding (the derived `Debug` string,
-//! hashed), so the search explores each reachable world once. At every
-//! state the checker asserts crash-safety invariants (single writer, no
-//! bookkeeping references to known-dead nodes, no orphaned lock holders);
-//! at every *quiescent* state (no internal transition enabled) it asserts
-//! liveness: no transient pending, no application thread parked forever,
-//! every lock waiter has a live holder to wait on, and the directory agrees
-//! with every survivor's dentry. Any violation prints (and writes to
-//! `DARRAY_MC_TRACE_FILE`) the full transition trace that reached it — a
-//! minimized counterexample by construction, since DFS reports the first
-//! path found at the shallowest unexplored depth.
+//! The worlds drive the real sans-I/O machines (`HomeMachine`,
+//! `CacheMachine`, `LockTable`): `checker/coherence.rs` is one home and two
+//! remotes under kills, false suspicions, persists, restarts and
+//! compaction (DESIGN.md §11, §12, §14), and `checker/migration.rs` is live
+//! re-homing under kills (§15). Both run on the one engine in
+//! `checker/mod.rs`, which checks safety at every reachable state and
+//! liveness at every quiescent one, and reports a violation with the
+//! transition path that reached it — the first path DFS found in
+//! transition order, not necessarily the shortest.
 //!
 //! Knobs (env): `DARRAY_MC_MAX_DEPTH`, `DARRAY_MC_MIN_STATES`,
 //! `DARRAY_MC_MAX_STATES`, `DARRAY_MC_TRACE_FILE`.
 
-use std::collections::{HashSet, VecDeque};
-use std::fmt::Write as _;
-use std::hash::{Hash, Hasher};
+mod checker;
 
-use darray::protocol::{
-    AfterDrain, CacheAction, CacheEvent, CacheMachine, CacheView, Counter, HomeAction, HomeEvent,
-    HomeMachine, Kind, LockKind, LockSource, LockTable, Request, Requester, LINE_NONE, NOTAG,
-};
-use darray::{DirState, LocalState};
-
-/// Node id of the home node.
-const HOME: usize = 0;
-/// Number of remote nodes (node ids `1..=NREM`).
-const NREM: usize = 2;
-/// The single lock element the model contends on.
-const ELEM: u64 = 7;
-/// The operator id used by `Kind::Operate` requests.
-const OP: u32 = 7;
-/// Completion token for the home node's application slot.
-const APP_TOKEN: u32 = 100;
-/// Completion token for the home node's lock slot.
-const LOCK_TOKEN: u32 = 200;
-/// The one cacheline index the model allocates.
-const LINE: u32 = 1;
-
-const KINDS: [Kind; 3] = [Kind::Read, Kind::Write, Kind::Operate(OP)];
-const LKINDS: [LockKind; 2] = [LockKind::Read, LockKind::Write];
-
-// ---------------------------------------------------------------------------
-// World state
-// ---------------------------------------------------------------------------
-
-/// One in-flight message. Links are FIFO; `Down` is the failure-detector
-/// marker and is always the last message on a dead node's link.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Msg {
-    // home → remote
-    Fill {
-        exclusive: bool,
-    },
-    Grant {
-        op: u32,
-    },
-    Inv,
-    RecallDirty,
-    Downgrade,
-    RecallOperated {
-        op: u32,
-    },
-    LockGrant {
-        kind: LockKind,
-    },
-    // remote → home
-    Req {
-        kind: Kind,
-    },
-    InvAck,
-    EvictNotice,
-    Writeback {
-        downgrade: bool,
-    },
-    Flush {
-        op: u32,
-    },
-    LockAcq {
-        kind: LockKind,
-    },
-    LockRel {
-        kind: LockKind,
-    },
-    // either direction
-    Down {
-        dead: usize,
-    },
-    /// The home's *new incarnation* announcing itself after a restart
-    /// (`RtMsg::PeerRestarted` fan-out): the remote must treat every right
-    /// granted by the old incarnation as void.
-    Restarted,
-}
-
-/// One node's application slot: at most one outstanding data request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum App {
-    Idle,
-    Waiting(Kind),
-}
-
-/// One node's lock slot: at most one outstanding element-lock request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Lock {
-    Idle,
-    Waiting(LockKind),
-    Holding(LockKind),
-}
-
-/// A remote node: the dentry the cache machine sees, plus app/lock slots
-/// and the budgets bounding how many external stimuli it may still issue.
-#[derive(Debug, Clone)]
-struct Remote {
-    alive: bool,
-    state: LocalState,
-    op_tag: u32,
-    line: u32,
-    /// `Some` while a Figure-5 drain is pending (the continuation).
-    after: Option<AfterDrain>,
-    /// Has this node consumed the home's `Down` marker?
-    home_down: bool,
-    app: App,
-    lock: Lock,
-    req_budget: u8,
-    lock_budget: u8,
-    evict_budget: u8,
-}
-
-impl Remote {
-    fn fresh(req_budget: u8, lock_budget: u8, evict_budget: u8) -> Self {
-        Remote {
-            alive: true,
-            state: LocalState::Invalid,
-            op_tag: NOTAG,
-            line: LINE_NONE,
-            after: None,
-            home_down: false,
-            app: App::Idle,
-            lock: Lock::Idle,
-            req_budget,
-            lock_budget,
-            evict_budget,
-        }
-    }
-
-    /// Canonical corpse: every field zeroed so all post-mortem worlds that
-    /// differ only in the victim's final state collapse into one.
-    fn dead() -> Self {
-        Remote {
-            alive: false,
-            state: LocalState::Invalid,
-            op_tag: NOTAG,
-            line: LINE_NONE,
-            after: None,
-            home_down: false,
-            app: App::Idle,
-            lock: Lock::Idle,
-            req_budget: 0,
-            lock_budget: 0,
-            evict_budget: 0,
-        }
-    }
-}
-
-/// The home node: the real directory machine and lock table, the home
-/// dentry, and the home's own app/lock slots.
-#[derive(Debug, Clone)]
-struct Home {
-    m: HomeMachine<u32>,
-    locks: LockTable<u32>,
-    /// The home dentry: (local state, operator tag).
-    dentry: (LocalState, u32),
-    /// A home-dentry reference drain is pending.
-    draining: bool,
-    /// Which remotes this node's failure detector has declared dead.
-    knows_dead: [bool; NREM],
-    app: App,
-    lock: Lock,
-    req_budget: u8,
-    lock_budget: u8,
-}
-
-/// One explorable world state. The derived `Debug` string is the canonical
-/// encoding used for memoization — every field that influences future
-/// behavior must live here (and nothing else: accounting lives in [`Ck`]).
-#[derive(Debug, Clone)]
-struct World {
-    /// `None` once the home node has been killed.
-    home: Option<Home>,
-    rem: [Remote; NREM],
-    /// FIFO link home → remote `i+1`.
-    h2r: [VecDeque<Msg>; NREM],
-    /// FIFO link remote `i+1` → home.
-    r2h: [VecDeque<Msg>; NREM],
-    now: u64,
-    /// A `ScheduleRetry { at }` is pending delivery.
-    retry_at: Option<u64>,
-    kill_budget: u8,
-    /// Home-side suspicion flags: while `suspected[i]` the home's outgoing
-    /// link to remote `i+1` is parked (no `DeliverH2R`), mirroring the
-    /// reliability agent parking a suspected peer's send queue. Nothing is
-    /// dropped; `Refute` (live suspect) or the `Down` marker (dead suspect)
-    /// resolves it.
-    suspected: [bool; NREM],
-    /// How many `Suspect` stimuli may still be injected.
-    suspect_budget: u8,
-    /// Durable mode (DESIGN.md §14): the home machine gates dirty-data
-    /// acknowledgements on a modeled chunk-store persist.
-    durable: bool,
-    /// A `PersistChunk { seq }` the executor has accepted but whose
-    /// completion (`PersistDone`) has not yet been fed back. At most one:
-    /// the machine parks in `AwaitPersist` until it resolves.
-    pending_persist: Option<u64>,
-    /// Highest persist sequence durably in the log. Survives home kills —
-    /// that is the entire point of the log.
-    disk_seq: u64,
-    /// Highest persist sequence the protocol has *acknowledged* (completed
-    /// the transient for). The persist-before-ack theorem is
-    /// `acked_seq <= disk_seq` in every reachable state.
-    acked_seq: u64,
-    /// How many node restarts may still be injected.
-    restart_budget: u8,
-    /// Persist seq covered by the newest on-disk checkpoint generation
-    /// (`.ckpt`), `None` when absent. Survives home kills — it is a file.
-    ckpt: Option<u64>,
-    /// Persist seq covered by the previous generation (`.ckpt.prev`) — the
-    /// fallback a torn/CRC-bad newest checkpoint recovers from.
-    ckpt_prev: Option<u64>,
-    /// Highest seq whose log record compaction has truncated away. The
-    /// lag-by-one rule keeps `trunc_floor <= ckpt_prev`: only the prefix
-    /// covered by the *fallback* generation is ever dropped.
-    trunc_floor: u64,
-    /// An in-flight compaction: `(snapshot seq, next phase)`. Erased by a
-    /// home kill — phases already applied are on disk, the rest never run.
-    compacting: Option<(u64, CkPhase)>,
-    /// How many compaction sequences may still be started.
-    compact_budget: u8,
-}
-
-/// The crash-atomic phases of `LogChunkStore::checkpoint` (DESIGN.md §14),
-/// in execution order. Each phase is one atomic disk operation (buffered
-/// write + fsync, or a rename); the checker kills the home *between* any
-/// two of them, which — together with each operation's own atomicity — is
-/// exactly "a crash at any byte of the compaction sequence".
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CkPhase {
-    /// Write the full image to `.ckpt.tmp` and fsync it. Invisible to
-    /// recovery: reopen deletes stale tmp files.
-    WriteTmp,
-    /// Rotate `.ckpt` → `.ckpt.prev`. The newest generation is momentarily
-    /// absent; recovery in this window falls back to `.prev`.
-    Rotate,
-    /// Rename `.ckpt.tmp` → `.ckpt` (atomic): the new generation lands.
-    Rename,
-    /// Truncate the log prefix covered by `.ckpt.prev` (lag-by-one).
-    Truncate,
-}
-
-impl CkPhase {
-    fn name(self) -> &'static str {
-        match self {
-            CkPhase::WriteTmp => "WriteTmp",
-            CkPhase::Rotate => "Rotate",
-            CkPhase::Rename => "Rename",
-            CkPhase::Truncate => "Truncate",
-        }
-    }
-}
-
-/// What a reopen of the modeled store recovers: the newest readable
-/// checkpoint generation (`.ckpt`, falling back to `.prev` when absent or
-/// torn — torn collapses to absent here, the CRC frame rejects it in full)
-/// overlaid with the log suffix `(trunc_floor, disk_seq]`. A sound store
-/// keeps every fallback generation ≥ `trunc_floor`, so the suffix splices
-/// onto the checkpoint with no gap; if compaction ever truncated past the
-/// fallback, the writes in the gap are gone and this returns less than
-/// `disk_seq` — which the `acked_seq` safety check then catches.
-fn recoverable(w: &World) -> u64 {
-    let best = w.ckpt.or(w.ckpt_prev).unwrap_or(0);
-    if best >= w.trunc_floor {
-        best.max(w.disk_seq)
-    } else {
-        best
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Checker context (not part of the state key)
-// ---------------------------------------------------------------------------
-
-/// Search bookkeeping and coverage tallies, deliberately *outside* the
-/// memoized state so accounting never splits otherwise-identical worlds.
-struct Ck {
-    grace: u64,
-    max_depth: usize,
-    max_states: usize,
-    seen: HashSet<u64>,
-    depth_pruned: usize,
-    quiescent_states: usize,
-    /// Home transient name at the instant each `Down` marker was consumed.
-    pd_transients: HashSet<&'static str>,
-    /// Home directory-state name at the instant each `Down` was consumed.
-    pd_states: HashSet<&'static str>,
-    /// Remote dentry state at the instant the home's `Down` was consumed.
-    homedown_states: HashSet<&'static str>,
-    /// Home transient name at each `RetryExpired` delivery.
-    retry_transients: HashSet<&'static str>,
-    epochs_aborted: usize,
-    sharers_pruned: usize,
-    locks_reclaimed: usize,
-    reductions: usize,
-    /// Suspicions of a live remote resolved by refutation.
-    suspect_refutes: usize,
-    /// Suspicions resolved by the suspect's actual death (its `Down` marker
-    /// consumed while the suspicion was pending).
-    suspect_confirms: usize,
-    /// A live remote held Exclusive (unwritten Dirty data) while suspected —
-    /// the exact state a unilateral declaration would destroy.
-    suspected_dirty_states: usize,
-    /// `PersistChunk` actions executed (durable mode).
-    persists: usize,
-    /// Persists the machine acknowledged (`Count(FlushPersists)`).
-    persist_acks: usize,
-    /// Home kills that landed while a persist was pending on disk.
-    killed_mid_persist: usize,
-    /// Home restarts (log replay + `Restarted` fan-out) injected.
-    home_restarts: usize,
-    /// Remote restarts (`HomeEvent::PeerRestarted` un-fencing) injected.
-    remote_restarts: usize,
-    /// Compaction sequences started (`StartCompaction` stimuli).
-    compactions_started: usize,
-    /// Compaction sequences that ran all four phases to completion.
-    compactions_completed: usize,
-    /// Phase names a home kill landed in while a compaction was in flight —
-    /// the snapshot→rename→truncate crash matrix must cover all four.
-    killed_mid_compaction: HashSet<&'static str>,
-    /// Home restarts that recovered through a checkpoint generation (not
-    /// pure log replay).
-    restarts_from_checkpoint: usize,
-    /// Simultaneous two-victim kills injected (`KillBoth`).
-    double_kills: usize,
-    /// Reachable states in which the home had confirmed BOTH remote deaths.
-    both_dead_states: usize,
-}
-
-impl Ck {
-    fn new(grace: u64) -> Self {
-        Ck {
-            grace,
-            max_depth: env_usize("DARRAY_MC_MAX_DEPTH", 96),
-            max_states: env_usize("DARRAY_MC_MAX_STATES", 5_000_000),
-            seen: HashSet::new(),
-            depth_pruned: 0,
-            quiescent_states: 0,
-            pd_transients: HashSet::new(),
-            pd_states: HashSet::new(),
-            homedown_states: HashSet::new(),
-            retry_transients: HashSet::new(),
-            epochs_aborted: 0,
-            sharers_pruned: 0,
-            locks_reclaimed: 0,
-            reductions: 0,
-            suspect_refutes: 0,
-            suspect_confirms: 0,
-            suspected_dirty_states: 0,
-            persists: 0,
-            persist_acks: 0,
-            killed_mid_persist: 0,
-            home_restarts: 0,
-            remote_restarts: 0,
-            compactions_started: 0,
-            compactions_completed: 0,
-            killed_mid_compaction: HashSet::new(),
-            restarts_from_checkpoint: 0,
-            double_kills: 0,
-            both_dead_states: 0,
-        }
-    }
-}
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Report a violation: compose the counterexample (transition trace + final
-/// world), write it to `DARRAY_MC_TRACE_FILE` (or the default path under
-/// `target/`), print it, and abort the test.
-fn fail(ck: &Ck, trace: &[String], w: &World, msg: &str) -> ! {
-    let mut report = String::new();
-    let _ = writeln!(report, "MODEL CHECK FAILED: {msg}");
-    let _ = writeln!(
-        report,
-        "states explored: {} (grace={}ns)",
-        ck.seen.len(),
-        ck.grace
-    );
-    let _ = writeln!(report, "counterexample trace ({} steps):", trace.len());
-    for (i, step) in trace.iter().enumerate() {
-        let _ = writeln!(report, "  {:3}. {step}", i + 1);
-    }
-    let _ = writeln!(report, "final world:\n{w:#?}");
-    let path = std::env::var("DARRAY_MC_TRACE_FILE").unwrap_or_else(|_| {
-        concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../target/model-check-counterexample.txt"
-        )
-        .to_string()
-    });
-    let _ = std::fs::write(&path, &report);
-    eprintln!("{report}");
-    eprintln!("(trace written to {path})");
-    panic!("model check failed: {msg}");
-}
-
-// ---------------------------------------------------------------------------
-// Transitions
-// ---------------------------------------------------------------------------
-
-/// One atomic step of the world. `Deliver*`, `Drain*` and `Retry` are
-/// *internal* (protocol progress); the rest are external stimuli. A state
-/// with no internal transition enabled is *quiescent* and must satisfy the
-/// liveness conditions of [`check_quiescence`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Tr {
-    DeliverH2R(usize),
-    DeliverR2H(usize),
-    DrainRemote(usize),
-    DrainHome,
-    Retry,
-    AppHome(Kind),
-    AppRemote(usize, Kind),
-    LockHomeAcq(LockKind),
-    LockHomeRel,
-    LockRemoteAcq(usize, LockKind),
-    LockRemoteRel(usize),
-    Evict(usize),
-    /// Kill `victim`, keeping the first `keep[i]` messages of each of its
-    /// outgoing links (prefix truncation models messages lost in flight).
-    /// `flush_disk` branches the fate of a pending persist when the home is
-    /// the victim: did the record reach the log before the crash?
-    Kill {
-        victim: usize,
-        keep: [usize; 2],
-        flush_disk: bool,
-    },
-    /// Kill BOTH remotes at once — two simultaneous quorum-confirmed
-    /// deaths, each with its own surviving prefix. Costs two kill budget.
-    KillBoth {
-        keep: [usize; 2],
-    },
-    /// Begin a checkpoint/compaction sequence (durable mode): snapshot the
-    /// synced log (`disk_seq`) and walk the [`CkPhase`] ladder.
-    StartCompaction,
-    /// The store executes the next compaction phase (guaranteed progress —
-    /// `checkpoint` runs synchronously under the store lock).
-    CompactStep,
-    /// The modeled disk completes the pending persist: the record is in the
-    /// log and `HomeEvent::PersistDone` resumes the parked acknowledgement.
-    PersistDone,
-    /// Restart `victim` (durable mode): a new incarnation rejoins cold,
-    /// recovering only what the log holds.
-    Restart {
-        victim: usize,
-    },
-    /// The home's failure detector (falsely or not) suspects remote `i+1`:
-    /// park the home→remote link.
-    Suspect(usize),
-    /// The quorum poll refutes the home's suspicion of (live) remote `i+1`:
-    /// re-admit and resume parked delivery.
-    Refute(usize),
-}
-
-/// Does `state`/`tag` already satisfy a request of `kind` locally (the
-/// fast-path hit the runtime would take without consulting the protocol)?
-fn satisfied(state: LocalState, tag: u32, kind: Kind) -> bool {
-    match kind {
-        Kind::Read => state.readable(),
-        Kind::Write => state.writable(),
-        Kind::Operate(op) => state.writable() || (state == LocalState::Operated && tag == op),
-    }
-}
-
-fn internal_transitions(w: &World) -> Vec<Tr> {
-    let mut out = Vec::new();
-    for i in 0..NREM {
-        // A suspected remote's inbound link is parked at the home's
-        // reliability agent — deliverable again only after the suspicion
-        // resolves.
-        let parked = w.home.is_some() && w.suspected[i];
-        if w.rem[i].alive && !w.h2r[i].is_empty() && !parked {
-            out.push(Tr::DeliverH2R(i));
-        }
-        if w.home.is_some() && !w.r2h[i].is_empty() {
-            out.push(Tr::DeliverR2H(i));
-        }
-        if w.rem[i].alive && w.rem[i].after.is_some() {
-            out.push(Tr::DrainRemote(i));
-        }
-        // A live suspect keeps heartbeating, so refutation is *guaranteed*
-        // progress in the real system — which makes it an internal
-        // transition here (a suspicion of a live peer can never be the end
-        // state, so a parked world is not quiescent).
-        if parked && w.rem[i].alive {
-            out.push(Tr::Refute(i));
-        }
-    }
-    if let Some(h) = &w.home {
-        if h.draining {
-            out.push(Tr::DrainHome);
-        }
-        if w.retry_at.is_some() {
-            out.push(Tr::Retry);
-        }
-        // Disk completion is guaranteed progress: a pending persist always
-        // resolves (crash-during-persist is the Kill branch's job).
-        if w.pending_persist.is_some() {
-            out.push(Tr::PersistDone);
-        }
-        // A compaction in flight always advances to its next phase
-        // (crash-mid-compaction is, again, the Kill branch's job).
-        if w.compacting.is_some() {
-            out.push(Tr::CompactStep);
-        }
-    }
-    out
-}
-
-fn external_transitions(w: &World) -> Vec<Tr> {
-    let mut out = Vec::new();
-    if let Some(h) = &w.home {
-        if h.app == App::Idle && h.req_budget > 0 {
-            for kind in KINDS {
-                if !satisfied(h.dentry.0, h.dentry.1, kind) {
-                    out.push(Tr::AppHome(kind));
-                }
-            }
-        }
-        match h.lock {
-            Lock::Idle if h.lock_budget > 0 => {
-                for lk in LKINDS {
-                    out.push(Tr::LockHomeAcq(lk));
-                }
-            }
-            Lock::Holding(_) => out.push(Tr::LockHomeRel),
-            _ => {}
-        }
-    }
-    for (i, r) in w.rem.iter().enumerate() {
-        if !r.alive {
-            continue;
-        }
-        if r.app == App::Idle && r.req_budget > 0 && !r.home_down {
-            for kind in KINDS {
-                if !satisfied(r.state, r.op_tag, kind) {
-                    out.push(Tr::AppRemote(i, kind));
-                }
-            }
-        }
-        match r.lock {
-            Lock::Idle if r.lock_budget > 0 && !r.home_down => {
-                for lk in LKINDS {
-                    out.push(Tr::LockRemoteAcq(i, lk));
-                }
-            }
-            Lock::Holding(_) => out.push(Tr::LockRemoteRel(i)),
-            _ => {}
-        }
-        if r.evict_budget > 0
-            && r.after.is_none()
-            && matches!(
-                r.state,
-                LocalState::Shared | LocalState::Exclusive | LocalState::Operated
-            )
-        {
-            out.push(Tr::Evict(i));
-        }
-    }
-    // Suspect a live remote: the false-suspicion stimulus. (Suspecting a
-    // node that is already dead is the Kill path — its marker is the
-    // confirmation — so the stimulus targets live peers, where a unilateral
-    // declaration would be unsound.)
-    if w.home.is_some() && w.suspect_budget > 0 {
-        for i in 0..NREM {
-            if w.rem[i].alive && !w.suspected[i] {
-                out.push(Tr::Suspect(i));
-            }
-        }
-    }
-    if w.kill_budget > 0 {
-        // Kill the home: branch over every surviving prefix of each
-        // home→remote link (the product; each link truncates independently).
-        // With a persist pending, also branch on whether its record reached
-        // the log before the crash.
-        if w.home.is_some() {
-            for k0 in 0..=w.h2r[0].len() {
-                for k1 in 0..=w.h2r[1].len() {
-                    out.push(Tr::Kill {
-                        victim: HOME,
-                        keep: [k0, k1],
-                        flush_disk: false,
-                    });
-                    if w.pending_persist.is_some() {
-                        out.push(Tr::Kill {
-                            victim: HOME,
-                            keep: [k0, k1],
-                            flush_disk: true,
-                        });
-                    }
-                }
-            }
-        }
-        // Kill remote node 1 (the protagonist remote; killing node 2 adds
-        // symmetric states without new behavior since budgets differ).
-        if w.rem[0].alive && w.home.is_some() {
-            for k0 in 0..=w.r2h[0].len() {
-                out.push(Tr::Kill {
-                    victim: 1,
-                    keep: [k0, 0],
-                    flush_disk: false,
-                });
-            }
-        }
-        // Double kill: the quorum confirms TWO simultaneous deaths — the
-        // membership axis a single-kill budget can never reach. Both
-        // remotes die at once, each in-flight link keeping an independent
-        // surviving prefix; the home consumes the two Down markers in
-        // either order, burning one view epoch per death.
-        if w.kill_budget >= 2 && w.home.is_some() && w.rem[0].alive && w.rem[1].alive {
-            for k0 in 0..=w.r2h[0].len() {
-                for k1 in 0..=w.r2h[1].len() {
-                    out.push(Tr::KillBoth { keep: [k0, k1] });
-                }
-            }
-        }
-    }
-    // Start a compaction at any point the store could: the runtime polls
-    // `maybe_checkpoint` after each persist and at every eviction-scan
-    // batch point, so between any two protocol steps is fair game. An
-    // empty store has nothing to snapshot (the real trigger counts
-    // persists), and the store lock serializes sequences.
-    if w.durable
-        && w.compact_budget > 0
-        && w.compacting.is_none()
-        && w.home.is_some()
-        && w.disk_seq > 0
-    {
-        out.push(Tr::StartCompaction);
-    }
-    if w.durable && w.restart_budget > 0 {
-        // Restarts model `Cluster::restart_peer`, whose contract is a
-        // *settled* death: every survivor has consumed the declaration and
-        // has nothing in flight against the corpse (in the runtime this is
-        // guaranteed by re-admitting between `run` phases — a still-parked
-        // app thread would have kept the previous phase from joining).
-        // Racing an unsettled death is out of contract: a survivor could
-        // address the new incarnation before processing the stale death
-        // declaration of the old one.
-        let settled = |i: usize| {
-            let r = &w.rem[i];
-            !r.alive
-                || (r.home_down
-                    && w.h2r[i].is_empty()
-                    && w.r2h[i].is_empty()
-                    && r.after.is_none()
-                    && !r.state.in_flight()
-                    && r.app == App::Idle
-                    && matches!(r.lock, Lock::Idle | Lock::Holding(_)))
-        };
-        // Restart the home: only meaningful durable — a new incarnation
-        // replays the log and re-announces itself to the survivors.
-        if w.home.is_none() && (0..NREM).all(settled) {
-            out.push(Tr::Restart { victim: HOME });
-        }
-        // Restart remote 1: the home un-fences the identity at a bumped
-        // view epoch and serves its fresh (cold) requests again.
-        if !w.rem[0].alive
-            && w.home.as_ref().is_some_and(|h| h.knows_dead[0])
-            && w.h2r[0].is_empty()
-            && w.r2h[0].is_empty()
-        {
-            out.push(Tr::Restart { victim: 1 });
-        }
-    }
-    out
-}
-
-/// Human-readable label for one transition (peeking the message about to be
-/// delivered), used in counterexample traces.
-fn label(w: &World, tr: Tr) -> String {
-    match tr {
-        Tr::DeliverH2R(i) => format!("deliver home->r{}: {:?}", i + 1, w.h2r[i].front().unwrap()),
-        Tr::DeliverR2H(i) => format!("deliver r{}->home: {:?}", i + 1, w.r2h[i].front().unwrap()),
-        Tr::DrainRemote(i) => format!(
-            "drain completes on r{}: {:?}",
-            i + 1,
-            w.rem[i].after.as_ref().unwrap()
-        ),
-        Tr::DrainHome => "home dentry drain completes".to_string(),
-        Tr::Retry => format!("grace retry fires (at={:?})", w.retry_at.unwrap()),
-        Tr::AppHome(k) => format!("home app requests {k:?}"),
-        Tr::AppRemote(i, k) => format!("r{} app requests {k:?}", i + 1),
-        Tr::LockHomeAcq(k) => format!("home acquires {k:?} lock"),
-        Tr::LockHomeRel => "home releases its lock".to_string(),
-        Tr::LockRemoteAcq(i, k) => format!("r{} acquires {k:?} lock", i + 1),
-        Tr::LockRemoteRel(i) => format!("r{} releases its lock", i + 1),
-        Tr::Evict(i) => format!("eviction scan hits r{}", i + 1),
-        Tr::Kill {
-            victim,
-            keep,
-            flush_disk,
-        } => format!(
-            "KILL node {victim} (kept prefixes {keep:?}, pending persist {})",
-            if flush_disk { "flushed" } else { "lost" }
-        ),
-        Tr::KillBoth { keep } => {
-            format!("KILL BOTH remotes (kept prefixes {keep:?}, two confirmed deaths)")
-        }
-        Tr::StartCompaction => format!("compaction starts (snapshot seq {})", w.disk_seq),
-        Tr::CompactStep => format!(
-            "compaction phase {} executes",
-            w.compacting.unwrap().1.name()
-        ),
-        Tr::Suspect(i) => format!("home SUSPECTS r{} (link parked)", i + 1),
-        Tr::Refute(i) => format!("suspicion of r{} refuted (link replayed)", i + 1),
-        Tr::PersistDone => format!("disk completes persist seq {}", w.pending_persist.unwrap()),
-        Tr::Restart { victim } => format!(
-            "RESTART node {victim} (log replay, disk_seq={})",
-            w.disk_seq
-        ),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Execution: apply a transition to a world
-// ---------------------------------------------------------------------------
-
-fn apply(w: &mut World, ck: &mut Ck, trace: &[String], tr: Tr) {
-    match tr {
-        Tr::DeliverH2R(i) => {
-            let msg = w.h2r[i].pop_front().unwrap();
-            deliver_to_remote(w, ck, trace, i, msg);
-        }
-        Tr::DeliverR2H(i) => {
-            let msg = w.r2h[i].pop_front().unwrap();
-            deliver_to_home(w, ck, trace, i, msg);
-        }
-        Tr::DrainRemote(i) => {
-            let after = w.rem[i].after.take().unwrap();
-            let home_down = w.rem[i].home_down;
-            run_cache_event(w, ck, trace, i, CacheEvent::Drained { after, home_down });
-        }
-        Tr::DrainHome => {
-            w.home.as_mut().unwrap().draining = false;
-            run_home_event(w, ck, trace, HomeEvent::Drained);
-        }
-        Tr::Retry => {
-            let at = w.retry_at.take().unwrap();
-            w.now = w.now.max(at);
-            ck.retry_transients
-                .insert(w.home.as_ref().unwrap().m.transient().name());
-            run_home_event(w, ck, trace, HomeEvent::RetryExpired);
-        }
-        Tr::AppHome(kind) => {
-            let h = w.home.as_mut().unwrap();
-            h.app = App::Waiting(kind);
-            h.req_budget -= 1;
-            run_home_event(
-                w,
-                ck,
-                trace,
-                HomeEvent::Request(Request {
-                    source: Requester::Local(APP_TOKEN),
-                    kind,
-                }),
-            );
-        }
-        Tr::AppRemote(i, kind) => {
-            let r = &mut w.rem[i];
-            r.app = App::Waiting(kind);
-            r.req_budget -= 1;
-            let drain_pending = r.after.is_some();
-            run_cache_event(
-                w,
-                ck,
-                trace,
-                i,
-                CacheEvent::Request {
-                    kind,
-                    home_down: false,
-                    drain_pending,
-                },
-            );
-        }
-        Tr::LockHomeAcq(lk) => {
-            let h = w.home.as_mut().unwrap();
-            h.lock_budget -= 1;
-            h.lock = Lock::Waiting(lk);
-            let granted = h.locks.acquire(ELEM, lk, LockSource::Local(LOCK_TOKEN));
-            if let Some(src) = granted {
-                deliver_lock_grants(w, ck, trace, vec![(src, lk)]);
-            }
-        }
-        Tr::LockHomeRel => {
-            let h = w.home.as_mut().unwrap();
-            let Lock::Holding(lk) = h.lock else {
-                unreachable!()
-            };
-            h.lock = Lock::Idle;
-            let granted = h.locks.release(ELEM, lk, None);
-            deliver_lock_grants(w, ck, trace, granted);
-        }
-        Tr::LockRemoteAcq(i, lk) => {
-            let r = &mut w.rem[i];
-            r.lock_budget -= 1;
-            r.lock = Lock::Waiting(lk);
-            w.r2h[i].push_back(Msg::LockAcq { kind: lk });
-        }
-        Tr::LockRemoteRel(i) => {
-            let r = &mut w.rem[i];
-            let Lock::Holding(lk) = r.lock else {
-                unreachable!()
-            };
-            r.lock = Lock::Idle;
-            if w.home.is_some() {
-                w.r2h[i].push_back(Msg::LockRel { kind: lk });
-            }
-            // Home already dead: the release would be sent to a corpse; the
-            // home's lock table died with it, so dropping is sound.
-        }
-        Tr::Evict(i) => {
-            w.rem[i].evict_budget -= 1;
-            run_cache_event(w, ck, trace, i, CacheEvent::Evict);
-        }
-        Tr::Suspect(i) => {
-            w.suspect_budget -= 1;
-            w.suspected[i] = true;
-        }
-        Tr::Refute(i) => {
-            ck.suspect_refutes += 1;
-            w.suspected[i] = false;
-        }
-        Tr::PersistDone => {
-            let seq = w.pending_persist.take().unwrap();
-            w.disk_seq = w.disk_seq.max(seq);
-            // The machine will acknowledge its awaited sequence (the fed
-            // seq covers it — persists are cumulative); record the ack for
-            // the persist-before-ack theorem *before* the protocol resumes.
-            if let darray::protocol::Transient::AwaitPersist { seq: s } =
-                w.home.as_ref().unwrap().m.transient()
-            {
-                if seq >= *s {
-                    w.acked_seq = w.acked_seq.max(*s);
-                }
-            }
-            run_home_event(w, ck, trace, HomeEvent::PersistDone { seq });
-        }
-        Tr::StartCompaction => {
-            w.compact_budget -= 1;
-            ck.compactions_started += 1;
-            // Phase zero of `checkpoint`: flush + sync the log. The model's
-            // `disk_seq` is already the synced log (persists land there via
-            // PersistDone / flush_disk), so the snapshot is just its
-            // current value.
-            w.compacting = Some((w.disk_seq, CkPhase::WriteTmp));
-        }
-        Tr::CompactStep => {
-            let (snap, phase) = w.compacting.unwrap();
-            match phase {
-                CkPhase::WriteTmp => {
-                    // `.ckpt.tmp` written + fsynced: no durable-state
-                    // change visible to recovery (reopen deletes tmps).
-                    w.compacting = Some((snap, CkPhase::Rotate));
-                }
-                CkPhase::Rotate => {
-                    // `.ckpt` → `.ckpt.prev` (skipped when no newest
-                    // generation exists, exactly like the store).
-                    if let Some(c) = w.ckpt.take() {
-                        w.ckpt_prev = Some(c);
-                    }
-                    w.compacting = Some((snap, CkPhase::Rename));
-                }
-                CkPhase::Rename => {
-                    // `.ckpt.tmp` → `.ckpt`, atomic: the new generation —
-                    // covering every persist up to the snapshot — lands.
-                    w.ckpt = Some(snap);
-                    w.compacting = Some((snap, CkPhase::Truncate));
-                }
-                CkPhase::Truncate => {
-                    // Lag-by-one: drop only the log prefix covered by the
-                    // generation just rotated to `.prev`, so a torn newest
-                    // checkpoint plus the truncated log still recovers
-                    // every record. (Truncating up to `snap` here instead
-                    // is the classic lost-window bug — the checker's
-                    // Rotate-phase kill would catch it via `recoverable`.)
-                    w.trunc_floor = w.trunc_floor.max(w.ckpt_prev.unwrap_or(0));
-                    w.compacting = None;
-                    ck.compactions_completed += 1;
-                }
-            }
-        }
-        Tr::Restart { victim } => {
-            w.restart_budget -= 1;
-            if victim == HOME {
-                ck.home_restarts += 1;
-                if w.ckpt.or(w.ckpt_prev).is_some() {
-                    ck.restarts_from_checkpoint += 1;
-                }
-                // Reopen recovers checkpoint-then-log-suffix: the new
-                // incarnation's replay frontier is exactly what the disk
-                // yields. In a sound store this equals `disk_seq`; if
-                // compaction ever truncated a window no checkpoint covers,
-                // this drops below `acked_seq` and safety fails on the
-                // next state.
-                w.disk_seq = recoverable(w);
-                // A new incarnation: fresh machine, cold directory, persist
-                // sequence resumed from the replayed log (exactly what
-                // `LogChunkStore::open` + the allocation overlay do).
-                let mut m = HomeMachine::new();
-                m.set_durable(true);
-                m.resume_persist_seq(w.disk_seq);
-                w.home = Some(Home {
-                    m,
-                    locks: LockTable::default(),
-                    dentry: (LocalState::Exclusive, NOTAG),
-                    draining: false,
-                    knows_dead: [false; NREM],
-                    app: App::Idle,
-                    lock: Lock::Idle,
-                    req_budget: 0,
-                    lock_budget: 0,
-                });
-                // Announce the new incarnation to every survivor, FIFO
-                // *after* the old incarnation's Down marker: a remote always
-                // learns of the death before the rebirth.
-                for (i, r) in w.rem.iter().enumerate() {
-                    if r.alive {
-                        w.h2r[i].push_back(Msg::Restarted);
-                    }
-                }
-            } else {
-                let i = victim - 1;
-                ck.remote_restarts += 1;
-                // The restarted remote rejoins cold with a small budget to
-                // prove the un-fenced home serves it again.
-                w.rem[i] = Remote::fresh(1, 0, 0);
-                w.h2r[i].clear();
-                w.r2h[i].clear();
-                let h = w.home.as_mut().unwrap();
-                h.knows_dead[i] = false;
-                // The restart admission burns a fresh membership epoch on
-                // top of whatever deaths the view has already applied
-                // (`MembershipView::restart`).
-                let view_epoch = h.m.view_epoch() + 1;
-                run_home_event(
-                    w,
-                    ck,
-                    trace,
-                    HomeEvent::PeerRestarted {
-                        node: victim,
-                        view_epoch,
-                    },
-                );
-            }
-        }
-        Tr::Kill {
-            victim,
-            keep,
-            flush_disk,
-        } => {
-            w.kill_budget -= 1;
-            if victim == HOME {
-                // A pending persist dies with the executor; `flush_disk`
-                // decides whether its record made the log first.
-                if let Some(seq) = w.pending_persist.take() {
-                    ck.killed_mid_persist += 1;
-                    if flush_disk {
-                        w.disk_seq = w.disk_seq.max(seq);
-                    }
-                }
-                // A compaction in flight dies mid-sequence: the phases
-                // already executed are durably on disk, the rest never
-                // happen — this is the snapshot→rename→truncate crash
-                // matrix. (Reopen cleans the stale tmp, not modeled.)
-                if let Some((_, phase)) = w.compacting.take() {
-                    ck.killed_mid_compaction.insert(phase.name());
-                }
-                w.home = None;
-                w.retry_at = None;
-                // The suspector died with its suspicions.
-                w.suspected = [false; NREM];
-                for (i, &kept) in keep.iter().enumerate() {
-                    // Messages to the corpse are never consumed.
-                    w.r2h[i].clear();
-                    // The victim's in-flight sends: an arbitrary prefix
-                    // survives, then the detector marker (always last).
-                    w.h2r[i].truncate(kept);
-                    if w.rem[i].alive {
-                        w.h2r[i].push_back(Msg::Down { dead: HOME });
-                    } else {
-                        w.h2r[i].clear();
-                    }
-                }
-            } else {
-                let i = victim - 1;
-                w.rem[i] = Remote::dead();
-                w.h2r[i].clear();
-                w.r2h[i].truncate(keep[0]);
-                if w.home.is_some() {
-                    w.r2h[i].push_back(Msg::Down { dead: victim });
-                } else {
-                    w.r2h[i].clear();
-                }
-            }
-        }
-        Tr::KillBoth { keep } => {
-            w.kill_budget -= 2;
-            ck.double_kills += 1;
-            for (i, &kept) in keep.iter().enumerate() {
-                w.rem[i] = Remote::dead();
-                w.h2r[i].clear();
-                w.r2h[i].truncate(kept);
-                // Generation guards on a live home; each victim's marker
-                // rides its own FIFO, so the home learns of the two deaths
-                // in either delivery order.
-                w.r2h[i].push_back(Msg::Down { dead: i + 1 });
-            }
-        }
-    }
-}
-
-/// Deliver one message to remote `i` (node id `i+1`).
-fn deliver_to_remote(w: &mut World, ck: &mut Ck, trace: &[String], i: usize, msg: Msg) {
-    match msg {
-        Msg::Fill { exclusive } => {
-            let granted = if exclusive {
-                LocalState::Exclusive
-            } else {
-                LocalState::Shared
-            };
-            run_cache_event(w, ck, trace, i, CacheEvent::FillDone { granted });
-        }
-        Msg::Grant { op } => run_cache_event(w, ck, trace, i, CacheEvent::GrantDone { op }),
-        Msg::Inv => run_cache_event(w, ck, trace, i, CacheEvent::Invalidate { from: HOME }),
-        Msg::RecallDirty => run_cache_event(w, ck, trace, i, CacheEvent::RecallDirty),
-        Msg::Downgrade => run_cache_event(w, ck, trace, i, CacheEvent::DowngradeDirty),
-        Msg::RecallOperated { op } => {
-            run_cache_event(w, ck, trace, i, CacheEvent::RecallOperated { op });
-        }
-        Msg::LockGrant { kind } => {
-            let r = &mut w.rem[i];
-            if r.lock != Lock::Waiting(kind) {
-                fail(
-                    ck,
-                    trace,
-                    w,
-                    &format!("r{} got a {kind:?} lock grant it never asked for", i + 1),
-                );
-            }
-            r.lock = Lock::Holding(kind);
-        }
-        Msg::Down { dead } => {
-            assert_eq!(dead, HOME, "only the home's death reaches a remote");
-            if w.home.is_some() {
-                // Restart gating requires every marker consumed first, so a
-                // marker outliving the rebirth means the model is broken.
-                fail(
-                    ck,
-                    trace,
-                    w,
-                    "Down marker consumed after the home restarted",
-                );
-            }
-            ck.homedown_states.insert(w.rem[i].state.name());
-            let r = &mut w.rem[i];
-            r.home_down = true;
-            // Lock slots waiting on (or holding locks managed by) the dead
-            // home are meaningless now: the table died with the home.
-            r.lock = Lock::Idle;
-            run_cache_event(w, ck, trace, i, CacheEvent::HomeDown);
-            // An application wait with no fill in flight will never be woken
-            // by the protocol again — the runtime wakes it on the detector
-            // edge so it re-checks and observes NodeUnavailable.
-            if w.rem[i].app != App::Idle && !w.rem[i].state.in_flight() && w.rem[i].after.is_none()
-            {
-                w.rem[i].app = App::Idle;
-            }
-        }
-        Msg::Restarted => {
-            // FIFO put the old incarnation's Down marker first, so the
-            // remote has already torn down its in-flight state; what's left
-            // is to void rights granted by the dead incarnation and resume
-            // talking to the new one.
-            w.rem[i].home_down = false;
-            run_cache_event(w, ck, trace, i, CacheEvent::HomeRestarted);
-        }
-        other => fail(
-            ck,
-            trace,
-            w,
-            &format!("remote-only message {other:?} delivered to r{}", i + 1),
-        ),
-    }
-}
-
-/// Deliver one message from remote `i` (node id `i+1`) to the home.
-fn deliver_to_home(w: &mut World, ck: &mut Ck, trace: &[String], i: usize, msg: Msg) {
-    let from = i + 1;
-    if w.home.as_ref().unwrap().knows_dead[i] && !matches!(msg, Msg::Down { .. }) {
-        // FIFO + marker-last makes this unreachable; if it fires the kill
-        // model itself is broken.
-        fail(
-            ck,
-            trace,
-            w,
-            &format!("home consumed {msg:?} from r{from} after its Down marker"),
-        );
-    }
-    match msg {
-        Msg::Req { kind } => run_home_event(
-            w,
-            ck,
-            trace,
-            HomeEvent::Request(Request {
-                source: Requester::Remote {
-                    node: from,
-                    dst_off: 0,
-                },
-                kind,
-            }),
-        ),
-        Msg::InvAck => run_home_event(w, ck, trace, HomeEvent::InvAck { from }),
-        Msg::EvictNotice => run_home_event(w, ck, trace, HomeEvent::EvictNotice { from }),
-        Msg::Writeback { downgrade } => {
-            run_home_event(w, ck, trace, HomeEvent::Writeback { from, downgrade });
-        }
-        Msg::Flush { op } => run_home_event(
-            w,
-            ck,
-            trace,
-            HomeEvent::Flush {
-                from,
-                op,
-                has_data: true,
-            },
-        ),
-        Msg::LockAcq { kind } => {
-            let h = w.home.as_mut().unwrap();
-            let granted = h.locks.acquire(ELEM, kind, LockSource::Remote(from));
-            if let Some(src) = granted {
-                deliver_lock_grants(w, ck, trace, vec![(src, kind)]);
-            }
-        }
-        Msg::LockRel { kind } => {
-            let h = w.home.as_mut().unwrap();
-            let granted = h.locks.release(ELEM, kind, Some(from));
-            deliver_lock_grants(w, ck, trace, granted);
-        }
-        Msg::Down { dead } => {
-            assert_eq!(dead, from);
-            if w.rem[i].alive {
-                fail(
-                    ck,
-                    trace,
-                    w,
-                    &format!("quorum confirmed the death of LIVE node {dead}"),
-                );
-            }
-            if w.suspected[i] {
-                // The home's own suspicion was resolved by the suspect's
-                // actual death rather than a refutation.
-                ck.suspect_confirms += 1;
-                w.suspected[i] = false;
-            }
-            let h = w.home.as_mut().unwrap();
-            ck.pd_transients.insert(h.m.transient().name());
-            ck.pd_states.insert(h.m.state().name());
-            h.knows_dead[i] = true;
-            // Each confirmed death burns one membership epoch, in marker
-            // consumption order (a double kill burns 1 then 2).
-            let view_epoch = h.m.view_epoch() + 1;
-            run_home_event(w, ck, trace, HomeEvent::PeerDown { dead, view_epoch });
-            let h = w.home.as_mut().unwrap();
-            let purge = h.locks.forget_peer(dead);
-            ck.locks_reclaimed += purge.reclaimed;
-            deliver_lock_grants(
-                w,
-                ck,
-                trace,
-                purge.granted.into_iter().map(|(_, s, k)| (s, k)).collect(),
-            );
-        }
-        other => fail(
-            ck,
-            trace,
-            w,
-            &format!("home-only message {other:?} sent to the home"),
-        ),
-    }
-}
-
-/// Deliver lock grants returned by the table, mirroring the runtime's
-/// cascade: a grant to a node already known dead is immediately released
-/// back (the table re-pumps to the next waiter).
-fn deliver_lock_grants(
-    w: &mut World,
-    ck: &mut Ck,
-    trace: &[String],
-    granted: Vec<(LockSource<u32>, LockKind)>,
-) {
-    let mut queue: VecDeque<(LockSource<u32>, LockKind)> = granted.into();
-    while let Some((src, lk)) = queue.pop_front() {
-        match src {
-            LockSource::Local(tok) => {
-                assert_eq!(tok, LOCK_TOKEN, "unknown local lock token");
-                let h = w.home.as_mut().unwrap();
-                if h.lock != Lock::Waiting(lk) {
-                    fail(ck, trace, w, "home lock slot granted while not waiting");
-                }
-                h.lock = Lock::Holding(lk);
-            }
-            LockSource::Remote(n) => {
-                let h = w.home.as_mut().unwrap();
-                if h.knows_dead[n - 1] {
-                    // Runtime cascade: deliver_grant sees the grantee is
-                    // dead and releases straight back.
-                    let more = h.locks.release(ELEM, lk, Some(n));
-                    ck.locks_reclaimed += 1;
-                    queue.extend(more);
-                } else if w.rem[n - 1].alive {
-                    w.h2r[n - 1].push_back(Msg::LockGrant { kind: lk });
-                }
-                // else: grantee died but the marker is still in flight; the
-                // grant message is lost with the node, and the marker's
-                // forget_peer sweep will reclaim the table slot.
-            }
-        }
-    }
-}
-
-/// Feed one event to the home machine and execute its actions.
-fn run_home_event(w: &mut World, ck: &mut Ck, trace: &[String], ev: HomeEvent<u32>) {
-    let now = w.now;
-    let grace = ck.grace;
-    let actions = w.home.as_mut().unwrap().m.on_event(now, grace, ev);
-    for a in actions {
-        match a {
-            HomeAction::ChargeDirUpdate => {}
-            HomeAction::Wake(tok) => {
-                assert_eq!(tok, APP_TOKEN, "unknown home wake token");
-                let h = w.home.as_mut().unwrap();
-                if !matches!(h.app, App::Waiting(_)) {
-                    fail(ck, trace, w, "home app woken while not waiting");
-                }
-                h.app = App::Idle;
-            }
-            HomeAction::SendFill { to, exclusive, .. } => {
-                send_h2r(w, ck, trace, to, Msg::Fill { exclusive });
-            }
-            HomeAction::SendGrant { to, op } => send_h2r(w, ck, trace, to, Msg::Grant { op }),
-            HomeAction::SendInvalidate { to } => send_h2r(w, ck, trace, to, Msg::Inv),
-            HomeAction::SendRecallDirty { to } => send_h2r(w, ck, trace, to, Msg::RecallDirty),
-            HomeAction::SendDowngrade { to } => send_h2r(w, ck, trace, to, Msg::Downgrade),
-            HomeAction::SendRecallOperated { to, op } => {
-                send_h2r(w, ck, trace, to, Msg::RecallOperated { op });
-            }
-            HomeAction::ApplyFlushData { .. } => ck.reductions += 1,
-            HomeAction::SetHomeLocal { state, tag } => {
-                w.home.as_mut().unwrap().dentry = (state, tag);
-            }
-            HomeAction::StartHomeDrain { target, tag } => {
-                let h = w.home.as_mut().unwrap();
-                if h.draining {
-                    fail(ck, trace, w, "overlapping home drains");
-                }
-                h.dentry = (target, tag);
-                h.draining = true;
-            }
-            HomeAction::ScheduleRetry { at } => {
-                if w.retry_at.is_some() {
-                    fail(ck, trace, w, "two grace retries scheduled at once");
-                }
-                w.retry_at = Some(at);
-            }
-            HomeAction::Trace(_) => {}
-            HomeAction::Count(c) => match c {
-                Counter::EpochsAborted => ck.epochs_aborted += 1,
-                Counter::SharersPruned => ck.sharers_pruned += 1,
-                Counter::FlushPersists => ck.persist_acks += 1,
-                _ => {}
-            },
-            HomeAction::PersistChunk { seq } => {
-                ck.persists += 1;
-                if w.pending_persist.is_some() {
-                    fail(ck, trace, w, "two persists pending at once");
-                }
-                if !w.durable {
-                    fail(ck, trace, w, "a non-durable machine emitted PersistChunk");
-                }
-                w.pending_persist = Some(seq);
-            }
-            // Migration actions cannot fire in this world (no
-            // `BeginMigration` is ever injected); the elastic re-homing
-            // search in the `migration` module covers them.
-            HomeAction::TransferChunk { .. }
-            | HomeAction::SendMigrateAck { .. }
-            | HomeAction::SendMigrateCommit { .. }
-            | HomeAction::DepartChunk { .. }
-            | HomeAction::AdoptChunk { .. }
-            | HomeAction::ForwardRequest { .. } => {
-                fail(ck, trace, w, "migration action in a migration-free world")
-            }
-        }
-    }
-}
-
-/// Send a protocol message from the home to remote node `to`. A send to a
-/// node the home has already declared dead is a recovery bug — the whole
-/// point of `forget_peer` is that no action ever references a corpse.
-fn send_h2r(w: &mut World, ck: &mut Ck, trace: &[String], to: usize, msg: Msg) {
-    if w.home.as_ref().unwrap().knows_dead[to - 1] {
-        fail(
-            ck,
-            trace,
-            w,
-            &format!("home sent {msg:?} to node {to} it knows is dead"),
-        );
-    }
-    if w.rem[to - 1].alive {
-        w.h2r[to - 1].push_back(msg);
-    }
-    // else: the node died but the detector hasn't fired yet; the message is
-    // lost in flight (prefix truncation already modeled it).
-}
-
-/// Feed one event to the cache machine of remote `i` and execute its
-/// actions. Uses a worklist because some actions (line allocation, waiter
-/// rechecks) synchronously produce follow-up events.
-fn run_cache_event(w: &mut World, ck: &mut Ck, trace: &[String], i: usize, first: CacheEvent) {
-    let mut events = VecDeque::from([first]);
-    while let Some(ev) = events.pop_front() {
-        let r = &w.rem[i];
-        let view = CacheView {
-            state: r.state,
-            op_tag: r.op_tag,
-            line: r.line,
-            draining: r.after.is_some(),
-        };
-        let mut wake = false;
-        for a in CacheMachine::on_event(&view, ev) {
-            match a {
-                CacheAction::QueueWaiter => {}
-                CacheAction::WakeRequester | CacheAction::WakeAllWaiters => wake = true,
-                CacheAction::BeginDrain { target, tag, after } => {
-                    let r = &mut w.rem[i];
-                    if r.after.is_some() {
-                        fail(ck, trace, w, "overlapping drains on one dentry");
-                    }
-                    r.state = target;
-                    r.op_tag = tag;
-                    r.after = Some(after);
-                }
-                CacheAction::AllocLine { kind } => {
-                    events.push_back(CacheEvent::LineAllocated { line: LINE, kind });
-                }
-                CacheAction::SetLine { line } => w.rem[i].line = line,
-                CacheAction::ReleaseLine { line } => {
-                    if line != LINE_NONE {
-                        w.rem[i].line = LINE_NONE;
-                    }
-                }
-                CacheAction::SetTransient { state } => w.rem[i].state = state,
-                CacheAction::Promote { state, tag } => {
-                    let r = &mut w.rem[i];
-                    r.state = state;
-                    r.op_tag = tag;
-                }
-                CacheAction::InitOperandBuffer { .. } => {}
-                CacheAction::SendEvictNotice => send_r2h(w, ck, trace, i, Msg::EvictNotice),
-                CacheAction::SendInvalidateAck { to } => {
-                    assert_eq!(to, HOME);
-                    send_r2h(w, ck, trace, i, Msg::InvAck);
-                }
-                CacheAction::SendWriteback {
-                    downgrade, release, ..
-                } => {
-                    send_r2h(w, ck, trace, i, Msg::Writeback { downgrade });
-                    if release {
-                        w.rem[i].line = LINE_NONE;
-                    }
-                }
-                CacheAction::SendFlush { op, release, .. } => {
-                    send_r2h(w, ck, trace, i, Msg::Flush { op });
-                    if release {
-                        w.rem[i].line = LINE_NONE;
-                    }
-                }
-                CacheAction::SendUpgrade { kind, .. } => {
-                    send_r2h(w, ck, trace, i, Msg::Req { kind });
-                }
-                CacheAction::PrefetchHint | CacheAction::Trace(_) | CacheAction::Count(_) => {}
-            }
-        }
-        if wake {
-            recheck_app(w, i, &mut events);
-        }
-    }
-}
-
-/// Send a protocol message from remote `i` to the home. A send after the
-/// node consumed the home's `Down` marker is a recovery bug: every cache
-/// path must go local-only once the home is known dead.
-fn send_r2h(w: &mut World, ck: &mut Ck, trace: &[String], i: usize, msg: Msg) {
-    if w.rem[i].home_down {
-        fail(
-            ck,
-            trace,
-            w,
-            &format!("r{} sent {msg:?} to a home it knows is dead", i + 1),
-        );
-    }
-    if w.home.is_some() {
-        w.r2h[i].push_back(msg);
-    }
-    // else: home died, marker in flight; the message is never consumed.
-}
-
-/// A wake fired on remote `i`: the parked application request re-checks its
-/// rights, exactly like the runtime's retry loop. It either completes
-/// (satisfied, or home dead ⇒ NodeUnavailable) or re-issues the request.
-fn recheck_app(w: &mut World, i: usize, events: &mut VecDeque<CacheEvent>) {
-    let r = &mut w.rem[i];
-    let App::Waiting(kind) = r.app else {
-        return;
-    };
-    if satisfied(r.state, r.op_tag, kind) || r.home_down {
-        r.app = App::Idle;
-    } else {
-        let drain_pending = r.after.is_some();
-        events.push_back(CacheEvent::Request {
-            kind,
-            home_down: false,
-            drain_pending,
-        });
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Invariants
-// ---------------------------------------------------------------------------
-
-/// Safety: must hold in **every** reachable state.
-fn check_safety(w: &World, ck: &mut Ck, trace: &[String]) {
-    // THE durability theorem (DESIGN.md §14), as a world invariant: no
-    // write is ever acknowledged before its image is durably in the log.
-    // Kills erase the volatile machine but never `disk_seq`, and restarts
-    // recover exactly `disk_seq` — so this single check is "every write
-    // acked before the kill is recovered, and only those".
-    if w.acked_seq > w.disk_seq {
-        fail(
-            ck,
-            trace,
-            w,
-            &format!(
-                "persist-before-ack violated: acked seq {} but disk only has {}",
-                w.acked_seq, w.disk_seq
-            ),
-        );
-    }
-    // Compaction lag-by-one theorem: the truncated log prefix must be
-    // covered by the FALLBACK checkpoint generation, not merely the newest
-    // one — so a torn `.ckpt` at any instant still recovers every dropped
-    // record from `.prev` + the remaining log.
-    if w.trunc_floor > w.ckpt_prev.unwrap_or(0) {
-        fail(
-            ck,
-            trace,
-            w,
-            &format!(
-                "compaction truncated the log past the fallback checkpoint \
-                 (trunc_floor {} > prev generation {:?})",
-                w.trunc_floor, w.ckpt_prev
-            ),
-        );
-    }
-    // And the full recovery theorem in every state, every phase: what a
-    // reopen would reconstruct from the disk as it is RIGHT NOW — newest
-    // readable checkpoint + log suffix — covers every acknowledged write.
-    if w.acked_seq > recoverable(w) {
-        fail(
-            ck,
-            trace,
-            w,
-            &format!(
-                "acked seq {} not recoverable from ckpt {:?}/prev {:?} + log ({}, {}]",
-                w.acked_seq, w.ckpt, w.ckpt_prev, w.trunc_floor, w.disk_seq
-            ),
-        );
-    }
-    if let Some(h) = &w.home {
-        // The executor's pending persist and the machine's AwaitPersist
-        // transient must agree exactly.
-        use darray::protocol::Transient;
-        let awaited = match h.m.transient() {
-            Transient::AwaitPersist { seq } => Some(*seq),
-            _ => None,
-        };
-        if awaited != w.pending_persist {
-            fail(
-                ck,
-                trace,
-                w,
-                &format!(
-                    "machine awaits persist {awaited:?} but executor has {:?} pending",
-                    w.pending_persist
-                ),
-            );
-        }
-        // Epoch monotonicity across restarts: a new record must never be
-        // stamped below the log's replay frontier, or a later replay would
-        // resurrect a pre-restart image.
-        if h.m.persist_seq() < w.disk_seq {
-            fail(
-                ck,
-                trace,
-                w,
-                "persist sequence regressed below the durable log",
-            );
-        }
-    }
-    // The quorum guarantee, stated as a world invariant: no live peer is
-    // ever declared dead. Everything destructive (lock reclaim, Dirty
-    // ownership reclaim, sharer pruning) happens only behind `knows_dead`,
-    // so this single check covers "no reachable interleaving discards a
-    // live peer's writes".
-    if let Some(h) = &w.home {
-        for i in 0..NREM {
-            if h.knows_dead[i] && w.rem[i].alive {
-                fail(ck, trace, w, "home declared a LIVE remote dead");
-            }
-            if w.suspected[i] && w.rem[i].alive && w.rem[i].state == LocalState::Exclusive {
-                // Coverage: the dangerous state — a live suspect holding
-                // unwritten Dirty data — was actually reached.
-                ck.suspected_dirty_states += 1;
-            }
-        }
-        if h.knows_dead.iter().all(|&d| d) {
-            // Coverage: the home survived a confirmed double death and its
-            // directory/lock sweeps ran for both victims.
-            ck.both_dead_states += 1;
-        }
-    }
-    // A *zombie* remote consumed the home's `Down` marker (or is about to:
-    // FIFO has the marker ahead of the `Restarted` announcement) and has
-    // not yet learned of the rebirth. Its rights come from the dead
-    // incarnation — the restarted directory neither knows nor honors them,
-    // and consuming `Restarted` voids them. Pre-existing semantics: cached
-    // copies of a dead home's chunks stay locally usable (graceful
-    // degradation) but their post-death writes were never promised
-    // durability. Zombies are therefore excluded from directory-agreement
-    // checks; they cannot reach quiescence (the pending `Restarted`
-    // delivery keeps the world live).
-    let zombie =
-        |i: usize| w.rem[i].home_down || w.h2r[i].iter().any(|m| matches!(m, Msg::Restarted));
-    // Single writer: at most one alive remote holds Exclusive, and nobody
-    // else holds any rights while it does.
-    let excl: Vec<usize> = (0..NREM)
-        .filter(|&i| w.rem[i].alive && !zombie(i) && w.rem[i].state == LocalState::Exclusive)
-        .collect();
-    if excl.len() > 1 {
-        fail(ck, trace, w, "two alive remotes hold Exclusive");
-    }
-    if let Some(&e) = excl.first() {
-        for (i, r) in w.rem.iter().enumerate() {
-            if i != e
-                && r.alive
-                && !zombie(i)
-                && matches!(
-                    r.state,
-                    LocalState::Shared | LocalState::Exclusive | LocalState::Operated
-                )
-            {
-                fail(
-                    ck,
-                    trace,
-                    w,
-                    &format!("r{} holds rights while r{} is Exclusive", i + 1, e + 1),
-                );
-            }
-        }
-        if let Some(h) = &w.home {
-            if !matches!(h.m.state(), DirState::Dirty { owner } if *owner == e + 1) {
-                fail(
-                    ck,
-                    trace,
-                    w,
-                    &format!("r{} is Exclusive but directory is {:?}", e + 1, h.m.state()),
-                );
-            }
-        }
-    }
-    // Operated epoch agreement: all alive Operated remotes carry one tag.
-    let tags: Vec<u32> = (0..NREM)
-        .filter(|&i| w.rem[i].alive && !zombie(i) && w.rem[i].state == LocalState::Operated)
-        .map(|i| w.rem[i].op_tag)
-        .collect();
-    if tags.windows(2).any(|t| t[0] != t[1]) {
-        fail(
-            ck,
-            trace,
-            w,
-            "two alive remotes Operated under different ops",
-        );
-    }
-    // Dentry/line consistency (drains excepted: the line detaches at the
-    // continuation, not at drain start).
-    for (i, r) in w.rem.iter().enumerate() {
-        if r.alive && r.after.is_none() && (r.state == LocalState::Invalid) != (r.line == LINE_NONE)
-        {
-            fail(
-                ck,
-                trace,
-                w,
-                &format!("r{} dentry/line mismatch: {:?}/{}", i + 1, r.state, r.line),
-            );
-        }
-    }
-    let Some(h) = &w.home else { return };
-    // The machine's dead set and the executor's detector agree.
-    for n in 1..=NREM {
-        if h.m.is_dead(n) != h.knows_dead[n - 1] {
-            fail(ck, trace, w, "machine dead set out of sync with detector");
-        }
-    }
-    // No directory bookkeeping references a known-dead node.
-    let dead_ref = |n: &usize| h.knows_dead[*n - 1];
-    let state_refs_dead = match h.m.state() {
-        DirState::Shared { sharers } | DirState::Operated { sharers, .. } => {
-            sharers.iter().any(&dead_ref)
-        }
-        DirState::Dirty { owner } => dead_ref(owner),
-        DirState::Unshared => false,
-    };
-    if state_refs_dead {
-        fail(ck, trace, w, "directory state references a known-dead node");
-    }
-    use darray::protocol::Transient;
-    let transient_refs_dead = match h.m.transient() {
-        Transient::AwaitInvAcks { waiting } | Transient::AwaitFlushes { waiting, .. } => {
-            waiting.iter().any(&dead_ref)
-        }
-        Transient::AwaitWriteback { from } => dead_ref(from),
-        _ => false,
-    };
-    if transient_refs_dead {
-        fail(
-            ck,
-            trace,
-            w,
-            "transient wait set references a known-dead node",
-        );
-    }
-    // No orphaned lock holders.
-    if !h.locks.holders_all_satisfy(|n| !h.knows_dead[n - 1]) {
-        fail(
-            ck,
-            trace,
-            w,
-            "lock table holds a lock for a known-dead node",
-        );
-    }
-}
-
-/// Liveness: must hold whenever **no internal transition is enabled** (the
-/// system has quiesced — nothing will ever make progress again without a
-/// new external stimulus, so anything still pending is stuck forever).
-fn check_quiescence(w: &World, ck: &Ck, trace: &[String]) {
-    let live_holder = matches!(w.home.as_ref().map(|h| h.lock), Some(Lock::Holding(_)))
-        || w.rem
-            .iter()
-            .any(|r| r.alive && matches!(r.lock, Lock::Holding(_)));
-
-    if let Some(h) = &w.home {
-        if !h.m.transient().is_none() {
-            fail(
-                ck,
-                trace,
-                w,
-                &format!(
-                    "quiescent with transient {} pending",
-                    h.m.transient().name()
-                ),
-            );
-        }
-        if h.m.pending_len() != 0 || h.m.has_current() {
-            fail(
-                ck,
-                trace,
-                w,
-                "quiescent with directory requests still queued",
-            );
-        }
-        if matches!(h.app, App::Waiting(_)) {
-            fail(ck, trace, w, "home app thread parked forever");
-        }
-        if matches!(h.lock, Lock::Waiting(_)) && !live_holder {
-            fail(ck, trace, w, "home lock waiter blocked with no live holder");
-        }
-        // Home dentry must mirror the directory state.
-        let want = (
-            h.m.state().home_local(),
-            match h.m.state() {
-                DirState::Operated { op, .. } => op.0,
-                _ => NOTAG,
-            },
-        );
-        if h.dentry != want {
-            fail(
-                ck,
-                trace,
-                w,
-                &format!(
-                    "home dentry {:?} disagrees with directory (want {want:?})",
-                    h.dentry
-                ),
-            );
-        }
-        // Directory ↔ survivor dentries, both directions.
-        for (i, r) in w.rem.iter().enumerate() {
-            let n = i + 1;
-            let (in_sharers, as_owner, op_of) = match h.m.state() {
-                DirState::Shared { sharers } => (sharers.contains(&n), false, None),
-                DirState::Dirty { owner } => (false, *owner == n, None),
-                DirState::Operated { op, sharers } => (sharers.contains(&n), false, Some(op.0)),
-                DirState::Unshared => (false, false, None),
-            };
-            if !r.alive {
-                continue;
-            }
-            match r.state {
-                LocalState::Shared => {
-                    if !(in_sharers && op_of.is_none()) {
-                        fail(
-                            ck,
-                            trace,
-                            w,
-                            &format!("r{n} is Shared but directory is {:?}", h.m.state()),
-                        );
-                    }
-                }
-                LocalState::Exclusive => {
-                    if !as_owner {
-                        fail(
-                            ck,
-                            trace,
-                            w,
-                            &format!("r{n} is Exclusive but directory is {:?}", h.m.state()),
-                        );
-                    }
-                }
-                LocalState::Operated => {
-                    if op_of != Some(r.op_tag) || !in_sharers {
-                        fail(
-                            ck,
-                            trace,
-                            w,
-                            &format!(
-                                "r{n} Operated({}) but directory is {:?}",
-                                r.op_tag,
-                                h.m.state()
-                            ),
-                        );
-                    }
-                }
-                LocalState::Invalid => {
-                    if in_sharers || as_owner {
-                        fail(
-                            ck,
-                            trace,
-                            w,
-                            &format!("directory lists Invalid r{n}: {:?}", h.m.state()),
-                        );
-                    }
-                }
-                s => fail(
-                    ck,
-                    trace,
-                    w,
-                    &format!("r{n} stuck in transient state {s:?} at quiescence"),
-                ),
-            }
-        }
-    }
-    for (i, r) in w.rem.iter().enumerate() {
-        if !r.alive {
-            continue;
-        }
-        if matches!(r.app, App::Waiting(_)) {
-            fail(
-                ck,
-                trace,
-                w,
-                &format!("r{} app thread parked forever", i + 1),
-            );
-        }
-        if matches!(r.lock, Lock::Waiting(_)) && (w.home.is_none() || !live_holder) {
-            fail(
-                ck,
-                trace,
-                w,
-                &format!("r{} lock waiter blocked with no live grantor", i + 1),
-            );
-        }
-        if w.home.is_none() && (r.state.in_flight() || r.after.is_some()) {
-            fail(
-                ck,
-                trace,
-                w,
-                &format!("r{} stuck in-flight after home death", i + 1),
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Search
-// ---------------------------------------------------------------------------
-
-fn state_key(w: &World) -> u64 {
-    // The derived Debug string is a canonical encoding of the world (every
-    // behavioral field is in it, in a deterministic order); hashing it keeps
-    // the memo table small. DefaultHasher::new() uses fixed keys, so runs
-    // are reproducible.
-    let mut h = std::hash::DefaultHasher::new();
-    format!("{w:?}").hash(&mut h);
-    h.finish()
-}
-
-fn dfs(w: &World, depth: usize, ck: &mut Ck, trace: &mut Vec<String>) {
-    if !ck.seen.insert(state_key(w)) {
-        return;
-    }
-    if ck.seen.len() > ck.max_states {
-        fail(
-            ck,
-            trace,
-            w,
-            "state-space budget exceeded (raise DARRAY_MC_MAX_STATES)",
-        );
-    }
-    check_safety(w, ck, trace);
-    let internal = internal_transitions(w);
-    if internal.is_empty() {
-        ck.quiescent_states += 1;
-        check_quiescence(w, ck, trace);
-    }
-    if depth >= ck.max_depth {
-        ck.depth_pruned += 1;
-        return;
-    }
-    let mut all = internal;
-    all.extend(external_transitions(w));
-    for tr in all {
-        let mut child = w.clone();
-        trace.push(label(w, tr));
-        apply(&mut child, ck, trace, tr);
-        dfs(&child, depth + 1, ck, trace);
-        trace.pop();
-    }
-}
-
-fn initial_world(
-    req: [u8; NREM],
-    locks: [u8; NREM],
-    evicts: [u8; NREM],
-    home_req: u8,
-    home_locks: u8,
-    kills: u8,
-    suspects: u8,
-) -> World {
-    World {
-        home: Some(Home {
-            m: HomeMachine::new(),
-            locks: LockTable::default(),
-            dentry: (LocalState::Exclusive, NOTAG),
-            draining: false,
-            knows_dead: [false; NREM],
-            app: App::Idle,
-            lock: Lock::Idle,
-            req_budget: home_req,
-            lock_budget: home_locks,
-        }),
-        rem: [
-            Remote::fresh(req[0], locks[0], evicts[0]),
-            Remote::fresh(req[1], locks[1], evicts[1]),
-        ],
-        h2r: [VecDeque::new(), VecDeque::new()],
-        r2h: [VecDeque::new(), VecDeque::new()],
-        now: 0,
-        retry_at: None,
-        kill_budget: kills,
-        suspected: [false; NREM],
-        suspect_budget: suspects,
-        durable: false,
-        pending_persist: None,
-        disk_seq: 0,
-        acked_seq: 0,
-        restart_budget: 0,
-        ckpt: None,
-        ckpt_prev: None,
-        trunc_floor: 0,
-        compacting: None,
-        compact_budget: 0,
-    }
-}
-
-/// Durable-mode world: the home machine gates acknowledgements on the
-/// modeled chunk store, and `restarts` node rebirths may be injected.
-fn durable_world(mut w: World, restarts: u8) -> World {
-    w.durable = true;
-    w.restart_budget = restarts;
-    w.home.as_mut().unwrap().m.set_durable(true);
-    w
-}
-
-/// Compaction world: on top of a durable world, up to `compactions`
-/// checkpoint/compaction sequences may start at any point, each walking
-/// the snapshot→rotate→rename→truncate ladder with kills between phases.
-fn compaction_world(mut w: World, compactions: u8) -> World {
-    assert!(w.durable, "compaction requires the durable world");
-    w.compact_budget = compactions;
-    w
-}
-
-fn summarize(ck: &Ck, name: &str) {
-    println!(
-        "[{name}] states={} quiescent={} depth_pruned={} \
-         pd_transients={:?} pd_states={:?} homedown_states={:?} retry_transients={:?} \
-         epochs_aborted={} sharers_pruned={} locks_reclaimed={} reductions={} \
-         suspect_refutes={} suspect_confirms={} suspected_dirty_states={} \
-         persists={} persist_acks={} killed_mid_persist={} home_restarts={} \
-         remote_restarts={} compactions={}/{} killed_mid_compaction={:?} \
-         restarts_from_checkpoint={} double_kills={} both_dead_states={}",
-        ck.seen.len(),
-        ck.quiescent_states,
-        ck.depth_pruned,
-        ck.pd_transients,
-        ck.pd_states,
-        ck.homedown_states,
-        ck.retry_transients,
-        ck.epochs_aborted,
-        ck.sharers_pruned,
-        ck.locks_reclaimed,
-        ck.reductions,
-        ck.suspect_refutes,
-        ck.suspect_confirms,
-        ck.suspected_dirty_states,
-        ck.persists,
-        ck.persist_acks,
-        ck.killed_mid_persist,
-        ck.home_restarts,
-        ck.remote_restarts,
-        ck.compactions_completed,
-        ck.compactions_started,
-        ck.killed_mid_compaction,
-        ck.restarts_from_checkpoint,
-        ck.double_kills,
-        ck.both_dead_states,
-    );
-}
-
-// ---------------------------------------------------------------------------
-// Tests
-// ---------------------------------------------------------------------------
+use checker::{coherence, env_usize};
 
 /// The main coherence search: no grace window (every transient is reachable
 /// without time passing), two remotes issuing Read/Write/Operate plus one
@@ -2020,17 +27,13 @@ fn summarize(ck: &Ck, name: &str) {
 /// separately sums the state spaces instead of multiplying them).
 #[test]
 fn crash_model_coherence_no_grace() {
-    let mut ck = Ck::new(0);
-    let w = initial_world([2, 2], [0, 0], [1, 1], 2, 0, 1, 0);
-    let mut trace = Vec::new();
-    dfs(&w, 0, &mut ck, &mut trace);
-    summarize(&ck, "coherence");
+    let s = coherence::search("coherence").run();
 
     let min_states = env_usize("DARRAY_MC_MIN_STATES", 10_000);
     assert!(
-        ck.seen.len() >= min_states,
+        s.states() >= min_states,
         "explored only {} states (< {min_states}); the model lost coverage",
-        ck.seen.len()
+        s.states()
     );
     // A PeerDown must have been injected into every transient phase the
     // protocol can be in (GraceWait needs grace > 0; see the other test).
@@ -2042,24 +45,21 @@ fn crash_model_coherence_no_grace() {
         "HomeDrain",
     ] {
         assert!(
-            ck.pd_transients.contains(t),
+            s.model.pd_transients.contains(t),
             "no kill was consumed during transient {t}: {:?}",
-            ck.pd_transients
+            s.model.pd_transients
         );
     }
     assert!(
-        ck.pd_states.contains("Operated"),
+        s.model.pd_states.contains("Operated"),
         "no kill landed during an Operated epoch: {:?}",
-        ck.pd_states
+        s.model.pd_states
     );
     assert!(
-        ck.epochs_aborted > 0,
+        s.model.epochs_aborted > 0,
         "no Operated epoch was ever closed by abort"
     );
-    assert!(
-        ck.quiescent_states > 0,
-        "the search never reached quiescence"
-    );
+    assert!(s.quiescent > 0, "the search never reached quiescence");
 }
 
 /// Lock-subsystem search: both remotes and the home contend on one element
@@ -2068,20 +68,13 @@ fn crash_model_coherence_no_grace() {
 /// blocked on a dead grantor or dead holder.
 #[test]
 fn crash_model_locks() {
-    let mut ck = Ck::new(0);
-    let w = initial_world([0, 0], [2, 2], [0, 0], 0, 2, 1, 0);
-    let mut trace = Vec::new();
-    dfs(&w, 0, &mut ck, &mut trace);
-    summarize(&ck, "locks");
+    let s = coherence::search("locks").run();
 
     assert!(
-        ck.locks_reclaimed > 0,
+        s.model.locks_reclaimed > 0,
         "no orphaned lock was ever reclaimed"
     );
-    assert!(
-        ck.quiescent_states > 0,
-        "the search never reached quiescence"
-    );
+    assert!(s.quiescent > 0, "the search never reached quiescence");
 }
 
 /// Cross-subsystem search: one remote drives coherence *and* lock traffic
@@ -2089,16 +82,9 @@ fn crash_model_locks() {
 /// by the lock purge) is exercised with both subsystems mid-flight.
 #[test]
 fn crash_model_combined() {
-    let mut ck = Ck::new(0);
-    let w = initial_world([1, 1], [1, 1], [0, 0], 0, 1, 1, 0);
-    let mut trace = Vec::new();
-    dfs(&w, 0, &mut ck, &mut trace);
-    summarize(&ck, "combined");
+    let s = coherence::search("combined").run();
 
-    assert!(
-        ck.quiescent_states > 0,
-        "the search never reached quiescence"
-    );
+    assert!(s.quiescent > 0, "the search never reached quiescence");
 }
 
 /// Suspected-but-alive search (DESIGN.md §12): the home may falsely suspect
@@ -2113,28 +99,21 @@ fn crash_model_combined() {
 /// writes of a peer that was merely suspected.
 #[test]
 fn crash_model_suspected_but_alive() {
-    let mut ck = Ck::new(0);
-    let w = initial_world([2, 1], [0, 0], [1, 0], 1, 0, 1, 2);
-    let mut trace = Vec::new();
-    dfs(&w, 0, &mut ck, &mut trace);
-    summarize(&ck, "suspected");
+    let s = coherence::search("suspected").run();
 
     assert!(
-        ck.suspect_refutes > 0,
+        s.model.suspect_refutes > 0,
         "no suspicion of a live remote was ever refuted"
     );
     assert!(
-        ck.suspect_confirms > 0,
+        s.model.suspect_confirms > 0,
         "no suspicion was ever resolved by the suspect's actual death"
     );
     assert!(
-        ck.suspected_dirty_states > 0,
+        s.model.suspected_dirty_states > 0,
         "no reachable state had a live suspect holding unwritten Dirty data"
     );
-    assert!(
-        ck.quiescent_states > 0,
-        "the search never reached quiescence"
-    );
+    assert!(s.quiescent > 0, "the search never reached quiescence");
 }
 
 /// Durable kill-then-restart search (DESIGN.md §14): the home gates every
@@ -2152,32 +131,25 @@ fn crash_model_suspected_but_alive() {
 /// bumped view epoch.
 #[test]
 fn crash_model_durable_restart() {
-    let mut ck = Ck::new(0);
-    let w = durable_world(initial_world([2, 1], [0, 0], [1, 0], 1, 0, 1, 0), 1);
-    let mut trace = Vec::new();
-    dfs(&w, 0, &mut ck, &mut trace);
-    summarize(&ck, "durable");
+    let s = coherence::search("durable").run();
 
-    assert!(ck.persists > 0, "no flush was ever persisted");
+    assert!(s.model.persists > 0, "no flush was ever persisted");
     assert!(
-        ck.persist_acks > 0,
+        s.model.persist_acks > 0,
         "no persist was ever acknowledged by the machine"
     );
     assert!(
-        ck.killed_mid_persist > 0,
+        s.model.killed_mid_persist > 0,
         "no kill ever landed while a persist was pending"
     );
     assert!(
-        ck.pd_transients.contains("AwaitPersist"),
+        s.model.pd_transients.contains("AwaitPersist"),
         "no remote death was consumed during AwaitPersist: {:?}",
-        ck.pd_transients
+        s.model.pd_transients
     );
-    assert!(ck.home_restarts > 0, "the home was never restarted");
-    assert!(ck.remote_restarts > 0, "a remote was never restarted");
-    assert!(
-        ck.quiescent_states > 0,
-        "the search never reached quiescence"
-    );
+    assert!(s.model.home_restarts > 0, "the home was never restarted");
+    assert!(s.model.remote_restarts > 0, "a remote was never restarted");
+    assert!(s.quiescent > 0, "the search never reached quiescence");
 }
 
 /// Checkpoint/compaction crash-matrix search (DESIGN.md §14): on top of
@@ -2196,36 +168,26 @@ fn crash_model_durable_restart() {
 /// populated `.prev` and a non-trivial truncation.
 #[test]
 fn crash_model_durable_compaction() {
-    let mut ck = Ck::new(0);
-    let w = compaction_world(
-        durable_world(initial_world([2, 1], [0, 0], [1, 0], 1, 0, 1, 0), 1),
-        2,
-    );
-    let mut trace = Vec::new();
-    dfs(&w, 0, &mut ck, &mut trace);
-    summarize(&ck, "compaction");
+    let s = coherence::search("compaction").run();
 
-    assert!(ck.persists > 0, "no flush was ever persisted");
+    assert!(s.model.persists > 0, "no flush was ever persisted");
     assert!(
-        ck.compactions_completed > 0,
+        s.model.compactions_completed > 0,
         "no compaction sequence ever ran to completion"
     );
     for phase in ["WriteTmp", "Rotate", "Rename", "Truncate"] {
         assert!(
-            ck.killed_mid_compaction.contains(phase),
+            s.model.killed_mid_compaction.contains(phase),
             "no kill landed before compaction phase {phase}: {:?}",
-            ck.killed_mid_compaction
+            s.model.killed_mid_compaction
         );
     }
     assert!(
-        ck.restarts_from_checkpoint > 0,
+        s.model.restarts_from_checkpoint > 0,
         "no restart ever recovered through a checkpoint generation"
     );
-    assert!(ck.home_restarts > 0, "the home was never restarted");
-    assert!(
-        ck.quiescent_states > 0,
-        "the search never reached quiescence"
-    );
+    assert!(s.model.home_restarts > 0, "the home was never restarted");
+    assert!(s.quiescent > 0, "the search never reached quiescence");
 }
 
 /// Double-kill membership search: with a kill budget of two, the quorum
@@ -2239,28 +201,21 @@ fn crash_model_durable_compaction() {
 /// protocol messages.
 #[test]
 fn crash_model_double_kill() {
-    let mut ck = Ck::new(0);
-    let w = initial_world([1, 1], [1, 1], [1, 0], 1, 0, 2, 0);
-    let mut trace = Vec::new();
-    dfs(&w, 0, &mut ck, &mut trace);
-    summarize(&ck, "double-kill");
+    let s = coherence::search("double-kill").run();
 
     assert!(
-        ck.double_kills > 0,
+        s.model.double_kills > 0,
         "no simultaneous double kill was injected"
     );
     assert!(
-        ck.both_dead_states > 0,
+        s.model.both_dead_states > 0,
         "the home never survived both remote deaths confirmed"
     );
     assert!(
-        ck.locks_reclaimed > 0,
+        s.model.locks_reclaimed > 0,
         "no orphaned lock was reclaimed across the double death"
     );
-    assert!(
-        ck.quiescent_states > 0,
-        "the search never reached quiescence"
-    );
+    assert!(s.quiescent > 0, "the search never reached quiescence");
 }
 
 /// Grace-window variant: with `grace_ns = 1` every fresh grant opens a
@@ -2268,954 +223,24 @@ fn crash_model_double_kill() {
 /// keep the (now time-carrying) state space in check.
 #[test]
 fn crash_model_grace_window() {
-    let mut ck = Ck::new(1);
-    ck.max_depth = env_usize("DARRAY_MC_MAX_DEPTH", 64);
-    let w = initial_world([1, 1], [0, 0], [0, 0], 1, 0, 1, 0);
-    let mut trace = Vec::new();
-    dfs(&w, 0, &mut ck, &mut trace);
-    summarize(&ck, "grace");
+    let s = coherence::search("grace").run();
 
     assert!(
-        ck.retry_transients.contains("GraceWait"),
+        s.model.retry_transients.contains("GraceWait"),
         "no retry ever fired inside a grace window: {:?}",
-        ck.retry_transients
+        s.model.retry_transients
     );
     assert!(
-        ck.pd_transients.contains("GraceWait"),
+        s.model.pd_transients.contains("GraceWait"),
         "no kill was consumed during GraceWait: {:?}",
-        ck.pd_transients
+        s.model.pd_transients
     );
-    assert!(ck.quiescent_states > 0);
+    assert!(s.quiescent > 0);
 }
 
-// ===========================================================================
-// Elastic re-homing search (DESIGN.md §15): join + migrate under crashes
-// ===========================================================================
-
-/// A second, self-contained world for the chunk-migration state machine.
-///
-/// Three nodes: the **source** home (node 0), the **target** home (node 1 —
-/// a freshly joined node, so its machine starts cold exactly as
-/// `Cluster::join_peer` brings it up), and one **requester** (node 2)
-/// issuing Read/Write traffic against whichever home its home-map view
-/// names. The search drives one `BeginMigration` through every
-/// interleaving of requests, recalls, transfers, acks, commits, persists
-/// and **kills of source, target, or requester** (with every surviving
-/// prefix of the victim's in-flight messages), and checks the two §15
-/// theorems in every reachable state:
-///
-/// * **single authority** — the source (alive, not departed) and the
-///   target (alive, adopted) are never simultaneously authoritative;
-/// * **no acked write lost** (durable mode) — every value whose persist
-///   the protocol acknowledged is recoverable: it lives in a live
-///   authoritative home's image, or best-epoch-wins log replay would
-///   restore it. The migration fence (`mig_epoch` burned as a persist
-///   sequence) is exactly what makes the target's log outrank the
-///   source's here.
+/// Elastic re-homing searches (DESIGN.md §15): join + migrate under crashes.
 mod migration {
     use super::*;
-
-    /// Node ids: source home, target home (the joiner), requester.
-    const SRC: usize = 0;
-    const TGT: usize = 1;
-    const REQ: usize = 2;
-
-    /// One in-flight message on a migration-world link. Data-bearing
-    /// messages (`Fill`, `Writeback`, `MigData`) carry the value their
-    /// one-sided RDMA WRITE lands at delivery time — RC FIFO makes the
-    /// write visible exactly when the trailing notification is consumed.
-    #[derive(Debug, Clone, PartialEq, Eq)]
-    enum MMsg {
-        Req { kind: Kind },
-        FwdReq { node: usize, kind: Kind },
-        Fill { exclusive: bool, val: u64 },
-        Inv,
-        RecallDirty,
-        InvAck,
-        EvictNotice,
-        Writeback { val: u64 },
-        MigData { epoch: u64, val: u64 },
-        MigAck { epoch: u64 },
-        MigCommit { epoch: u64 },
-        HomeMoved { new_home: usize, epoch: u64 },
-        Down { dead: usize },
-    }
-
-    /// One home node of the migration world.
-    #[derive(Debug, Clone)]
-    struct MHome {
-        m: HomeMachine<u32>,
-        dentry: (LocalState, u32),
-        draining: bool,
-        /// `AdoptChunk` fired: this node is the chunk's authoritative home.
-        adopted: bool,
-        /// `DepartChunk` fired: this node is a former home.
-        departed: bool,
-        knows_dead: [bool; 3],
-        view_epoch: u64,
-    }
-
-    impl MHome {
-        fn fresh() -> Self {
-            MHome {
-                m: HomeMachine::new(),
-                dentry: (LocalState::Invalid, NOTAG),
-                draining: false,
-                adopted: false,
-                departed: false,
-                knows_dead: [false; 3],
-                view_epoch: 0,
-            }
-        }
-    }
-
-    #[derive(Debug, Clone)]
-    struct MigWorld {
-        homes: [Option<MHome>; 2],
-        // The requester's minimal cache: one line, one app slot.
-        r_alive: bool,
-        r_state: LocalState,
-        r_val: u64,
-        r_dirty: bool,
-        /// The requester's home-map view of the chunk (`home_on`).
-        r_home: usize,
-        r_home_epoch: u64,
-        r_knows_dead: [bool; 2],
-        r_app: App,
-        /// A protocol request is outstanding: the requester's dentry is
-        /// in-flight, so the runtime parks retries on the pending fill
-        /// instead of issuing a duplicate request.
-        r_inflight: bool,
-        r_req_budget: u8,
-        r_evict_budget: u8,
-        /// Home images (the chunk's home slot per node).
-        img: [u64; 2],
-        /// Durable log per home: highest `(seq, value)` record. `(0, 0)` is
-        /// the empty log (the initial image is value 0 at epoch 0).
-        log: [(u64, u64); 2],
-        /// A `PersistChunk` accepted but not yet completed: `(seq, value
-        /// captured at emission)`.
-        pending_persist: [Option<(u64, u64)>; 2],
-        /// FIFO links, indexed by [from][to] over {SRC, TGT, REQ}; the
-        /// diagonal is unused.
-        links: [[std::collections::VecDeque<MMsg>; 3]; 3],
-        /// `BeginMigration` not yet injected.
-        mig_pending: bool,
-        kill_budget: u8,
-        durable: bool,
-        /// Monotone value generator for requester writes.
-        next_val: u64,
-        /// Highest value whose persist the protocol acknowledged.
-        acked_val: u64,
-    }
-
-    impl MigWorld {
-        fn new(req_budget: u8, evict_budget: u8, kills: u8, durable: bool) -> Self {
-            let mut src = MHome::fresh();
-            src.dentry = (LocalState::Exclusive, NOTAG);
-            let mut tgt = MHome::fresh();
-            if durable {
-                src.m.set_durable(true);
-                tgt.m.set_durable(true);
-            }
-            MigWorld {
-                homes: [Some(src), Some(tgt)],
-                r_alive: true,
-                r_state: LocalState::Invalid,
-                r_val: 0,
-                r_dirty: false,
-                r_home: SRC,
-                r_home_epoch: 0,
-                r_knows_dead: [false; 2],
-                r_app: App::Idle,
-                r_inflight: false,
-                r_req_budget: req_budget,
-                r_evict_budget: evict_budget,
-                img: [0, 0],
-                log: [(0, 0), (0, 0)],
-                pending_persist: [None, None],
-                links: Default::default(),
-                mig_pending: true,
-                kill_budget: kills,
-                durable,
-                next_val: 1,
-                acked_val: 0,
-            }
-        }
-
-        fn alive(&self, node: usize) -> bool {
-            match node {
-                REQ => self.r_alive,
-                h => self.homes[h].is_some(),
-            }
-        }
-    }
-
-    /// Coverage tallies for the migration search.
-    struct MCk {
-        max_depth: usize,
-        max_states: usize,
-        seen: HashSet<u64>,
-        quiescent: usize,
-        depth_pruned: usize,
-        /// `(victim, survivor transient name)` at each `Down` consumption.
-        kill_phases: HashSet<(&'static str, &'static str)>,
-        /// Quiescent states where the migration fully committed.
-        completed: usize,
-        /// Quiescent states where the source re-assumed after a target death.
-        aborted: usize,
-        migrations_out: usize,
-        migrations_in: usize,
-        parked_replays: usize,
-        forwards: usize,
-    }
-
-    impl MCk {
-        fn new() -> Self {
-            MCk {
-                max_depth: env_usize("DARRAY_MC_MAX_DEPTH", 96),
-                max_states: env_usize("DARRAY_MC_MAX_STATES", 5_000_000),
-                seen: HashSet::new(),
-                quiescent: 0,
-                depth_pruned: 0,
-                kill_phases: HashSet::new(),
-                completed: 0,
-                aborted: 0,
-                migrations_out: 0,
-                migrations_in: 0,
-                parked_replays: 0,
-                forwards: 0,
-            }
-        }
-    }
-
-    fn mfail(ck: &MCk, trace: &[String], w: &MigWorld, msg: &str) -> ! {
-        let mut report = String::new();
-        let _ = writeln!(report, "MIGRATION MODEL CHECK FAILED: {msg}");
-        let _ = writeln!(report, "states explored: {}", ck.seen.len());
-        let _ = writeln!(report, "counterexample trace ({} steps):", trace.len());
-        for (i, step) in trace.iter().enumerate() {
-            let _ = writeln!(report, "  {:3}. {step}", i + 1);
-        }
-        let _ = writeln!(report, "final world:\n{w:#?}");
-        let path = std::env::var("DARRAY_MC_TRACE_FILE").unwrap_or_else(|_| {
-            concat!(
-                env!("CARGO_MANIFEST_DIR"),
-                "/../../target/model-check-counterexample.txt"
-            )
-            .to_string()
-        });
-        let _ = std::fs::write(&path, &report);
-        eprintln!("{report}");
-        eprintln!("(trace written to {path})");
-        panic!("migration model check failed: {msg}");
-    }
-
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    enum MTr {
-        Deliver {
-            from: usize,
-            to: usize,
-        },
-        DrainHome(usize),
-        PersistDone(usize),
-        BeginMigration,
-        AppReq(Kind),
-        /// Fast-path write on an already-Exclusive requester line.
-        WriteHit,
-        Evict,
-        Kill {
-            victim: usize,
-            keep: [usize; 2],
-            flush_disk: bool,
-        },
-    }
-
-    /// The two outgoing links of `victim`, in `keep[]` order.
-    fn out_links(victim: usize) -> [(usize, usize); 2] {
-        match victim {
-            SRC => [(SRC, TGT), (SRC, REQ)],
-            TGT => [(TGT, SRC), (TGT, REQ)],
-            _ => [(REQ, SRC), (REQ, TGT)],
-        }
-    }
-
-    fn m_internal(w: &MigWorld) -> Vec<MTr> {
-        let mut out = Vec::new();
-        for from in 0..3 {
-            for to in 0..3 {
-                if from != to && w.alive(to) && !w.links[from][to].is_empty() {
-                    out.push(MTr::Deliver { from, to });
-                }
-            }
-        }
-        for h in 0..2 {
-            if let Some(home) = &w.homes[h] {
-                if home.draining {
-                    out.push(MTr::DrainHome(h));
-                }
-                if w.pending_persist[h].is_some() {
-                    out.push(MTr::PersistDone(h));
-                }
-            }
-        }
-        out
-    }
-
-    fn m_external(w: &MigWorld) -> Vec<MTr> {
-        let mut out = Vec::new();
-        if w.mig_pending && w.homes[SRC].is_some() {
-            out.push(MTr::BeginMigration);
-        }
-        if w.r_alive
-            && w.r_app == App::Idle
-            && w.r_req_budget > 0
-            && !w.r_inflight
-            && !w.r_knows_dead[w.r_home]
-        {
-            for kind in [Kind::Read, Kind::Write] {
-                if !satisfied(w.r_state, NOTAG, kind) {
-                    out.push(MTr::AppReq(kind));
-                }
-            }
-            if w.r_state == LocalState::Exclusive {
-                out.push(MTr::WriteHit);
-            }
-        }
-        if w.r_alive
-            && w.r_evict_budget > 0
-            && matches!(w.r_state, LocalState::Shared | LocalState::Exclusive)
-        {
-            out.push(MTr::Evict);
-        }
-        if w.kill_budget > 0 {
-            for victim in 0..3 {
-                if !w.alive(victim) {
-                    continue;
-                }
-                let [l0, l1] = out_links(victim);
-                for k0 in 0..=w.links[l0.0][l0.1].len() {
-                    for k1 in 0..=w.links[l1.0][l1.1].len() {
-                        out.push(MTr::Kill {
-                            victim,
-                            keep: [k0, k1],
-                            flush_disk: false,
-                        });
-                        if victim < 2 && w.pending_persist[victim].is_some() {
-                            out.push(MTr::Kill {
-                                victim,
-                                keep: [k0, k1],
-                                flush_disk: true,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    fn m_label(w: &MigWorld, tr: MTr) -> String {
-        let name = |n: usize| match n {
-            SRC => "src",
-            TGT => "tgt",
-            _ => "req",
-        };
-        match tr {
-            MTr::Deliver { from, to } => format!(
-                "deliver {}->{}: {:?}",
-                name(from),
-                name(to),
-                w.links[from][to].front().unwrap()
-            ),
-            MTr::DrainHome(h) => format!("{} home drain completes", name(h)),
-            MTr::PersistDone(h) => format!(
-                "{} disk completes persist {:?}",
-                name(h),
-                w.pending_persist[h].unwrap()
-            ),
-            MTr::BeginMigration => "BeginMigration(src -> tgt) injected".to_string(),
-            MTr::AppReq(k) => format!("req app requests {k:?} from {}", name(w.r_home)),
-            MTr::WriteHit => "req fast-path write (Exclusive hit)".to_string(),
-            MTr::Evict => "eviction scan hits req".to_string(),
-            MTr::Kill {
-                victim,
-                keep,
-                flush_disk,
-            } => format!(
-                "KILL {} (kept prefixes {keep:?}, pending persist {})",
-                name(victim),
-                if flush_disk { "flushed" } else { "lost" }
-            ),
-        }
-    }
-
-    /// Feed one event to home `h`'s machine and execute its actions.
-    fn m_run_home(w: &mut MigWorld, ck: &mut MCk, trace: &[String], h: usize, ev: HomeEvent<u32>) {
-        let actions = w.homes[h].as_mut().unwrap().m.on_event(0, 0, ev);
-        for a in actions {
-            match a {
-                HomeAction::ChargeDirUpdate | HomeAction::Trace(_) => {}
-                HomeAction::Wake(_) => {
-                    mfail(ck, trace, w, "home woke a local waiter (none modeled)")
-                }
-                HomeAction::SendFill { to, exclusive, .. } => {
-                    let val = w.img[h];
-                    m_send(w, ck, trace, h, to, MMsg::Fill { exclusive, val });
-                }
-                HomeAction::SendInvalidate { to } => m_send(w, ck, trace, h, to, MMsg::Inv),
-                HomeAction::SendRecallDirty { to } => {
-                    m_send(w, ck, trace, h, to, MMsg::RecallDirty)
-                }
-                HomeAction::SendGrant { .. }
-                | HomeAction::SendDowngrade { .. }
-                | HomeAction::SendRecallOperated { .. }
-                | HomeAction::ApplyFlushData { .. } => mfail(
-                    ck,
-                    trace,
-                    w,
-                    "unreachable action for a Read/Write-only world",
-                ),
-                HomeAction::SetHomeLocal { state, tag } => {
-                    w.homes[h].as_mut().unwrap().dentry = (state, tag);
-                }
-                HomeAction::StartHomeDrain { target, tag } => {
-                    let home = w.homes[h].as_mut().unwrap();
-                    if home.draining {
-                        mfail(ck, trace, w, "overlapping home drains");
-                    }
-                    home.dentry = (target, tag);
-                    home.draining = true;
-                }
-                HomeAction::ScheduleRetry { .. } => {
-                    mfail(ck, trace, w, "grace retry scheduled with grace=0")
-                }
-                HomeAction::PersistChunk { seq } => {
-                    if !w.durable {
-                        mfail(ck, trace, w, "non-durable machine emitted PersistChunk");
-                    }
-                    if w.pending_persist[h].is_some() {
-                        mfail(ck, trace, w, "two persists pending at once");
-                    }
-                    w.pending_persist[h] = Some((seq, w.img[h]));
-                }
-                HomeAction::TransferChunk { to, mig_epoch } => {
-                    if h != SRC || to != TGT {
-                        mfail(ck, trace, w, "transfer outside the modeled migration");
-                    }
-                    let val = w.img[SRC];
-                    m_send(
-                        w,
-                        ck,
-                        trace,
-                        SRC,
-                        TGT,
-                        MMsg::MigData {
-                            epoch: mig_epoch,
-                            val,
-                        },
-                    );
-                }
-                HomeAction::SendMigrateAck { to, mig_epoch } => {
-                    // §15 persist-before-ack: a durable target may only ack
-                    // the hand-off once its log holds the transferred image
-                    // at (or past) the fence epoch.
-                    if w.durable && w.log[TGT].0 < mig_epoch {
-                        mfail(
-                            ck,
-                            trace,
-                            w,
-                            "durable target acked the hand-off before logging the image",
-                        );
-                    }
-                    m_send(w, ck, trace, h, to, MMsg::MigAck { epoch: mig_epoch });
-                }
-                HomeAction::SendMigrateCommit { to, mig_epoch } => {
-                    m_send(w, ck, trace, h, to, MMsg::MigCommit { epoch: mig_epoch });
-                }
-                HomeAction::DepartChunk { to, mig_epoch } => {
-                    if h != SRC || to != TGT {
-                        mfail(ck, trace, w, "departure outside the modeled migration");
-                    }
-                    w.homes[h].as_mut().unwrap().departed = true;
-                    // HomeMoved broadcast (the runtime's broadcast_home_moved).
-                    if w.r_alive {
-                        w.links[h][REQ].push_back(MMsg::HomeMoved {
-                            new_home: TGT,
-                            epoch: mig_epoch,
-                        });
-                    }
-                }
-                HomeAction::AdoptChunk { mig_epoch } => {
-                    if h != TGT {
-                        mfail(ck, trace, w, "adoption outside the modeled migration");
-                    }
-                    let home = w.homes[h].as_mut().unwrap();
-                    home.adopted = true;
-                    home.dentry = (LocalState::Exclusive, NOTAG);
-                    if w.r_alive {
-                        w.links[h][REQ].push_back(MMsg::HomeMoved {
-                            new_home: TGT,
-                            epoch: mig_epoch,
-                        });
-                    }
-                }
-                HomeAction::ForwardRequest { to, node, kind, .. } => {
-                    ck.forwards += 1;
-                    // Fire-and-forget: the former home forwards without a
-                    // liveness check; a forward to a corpse is lost and the
-                    // requester's timeout surfaces the unavailability.
-                    if w.alive(to) {
-                        w.links[h][to].push_back(MMsg::FwdReq { node, kind });
-                    }
-                    // HomeMoved redirect to the original requester.
-                    let (new_home, epoch) = match w.homes[h].as_ref().unwrap().m.migrated_to() {
-                        Some((n, e)) => (n, e),
-                        None => mfail(ck, trace, w, "forward from a non-departed home"),
-                    };
-                    if node == REQ && w.r_alive {
-                        w.links[h][REQ].push_back(MMsg::HomeMoved { new_home, epoch });
-                    }
-                }
-                HomeAction::Count(c) => match c {
-                    Counter::MigrationsOut => ck.migrations_out += 1,
-                    Counter::MigrationsIn => ck.migrations_in += 1,
-                    Counter::ParkedReplays => ck.parked_replays += 1,
-                    _ => {}
-                },
-            }
-        }
-    }
-
-    /// Send a directory message from home `h`. Sends to a node the home has
-    /// already declared dead are recovery bugs (`forget_peer`'s contract).
-    fn m_send(w: &mut MigWorld, ck: &mut MCk, trace: &[String], from: usize, to: usize, msg: MMsg) {
-        if w.homes[from].as_ref().unwrap().knows_dead[to] {
-            mfail(
-                ck,
-                trace,
-                w,
-                &format!("home {from} sent {msg:?} to node {to} it knows is dead"),
-            );
-        }
-        if w.alive(to) {
-            w.links[from][to].push_back(msg);
-        }
-        // else: lost in flight; the kill's prefix truncation modeled it.
-    }
-
-    fn m_deliver_to_home(
-        w: &mut MigWorld,
-        ck: &mut MCk,
-        trace: &[String],
-        h: usize,
-        from: usize,
-        msg: MMsg,
-    ) {
-        let ev: HomeEvent<u32> = match msg {
-            MMsg::Req { kind } => HomeEvent::Request(Request {
-                source: Requester::Remote {
-                    node: from,
-                    dst_off: 0,
-                },
-                kind,
-            }),
-            MMsg::FwdReq { node, kind } => HomeEvent::Request(Request {
-                source: Requester::Remote { node, dst_off: 0 },
-                kind,
-            }),
-            MMsg::InvAck => HomeEvent::InvAck { from },
-            MMsg::EvictNotice => HomeEvent::EvictNotice { from },
-            MMsg::Writeback { val } => {
-                // The writeback's RDMA WRITE lands in the home image first.
-                w.img[h] = val;
-                HomeEvent::Writeback {
-                    from,
-                    downgrade: false,
-                }
-            }
-            MMsg::MigData { epoch, val } => {
-                w.img[h] = val;
-                HomeEvent::MigrateData {
-                    from,
-                    mig_epoch: epoch,
-                }
-            }
-            MMsg::MigAck { epoch } => HomeEvent::MigrateAck {
-                from,
-                mig_epoch: epoch,
-            },
-            MMsg::MigCommit { epoch } => HomeEvent::MigrateCommit {
-                from,
-                mig_epoch: epoch,
-            },
-            MMsg::Down { dead } => {
-                let home = w.homes[h].as_mut().unwrap();
-                home.knows_dead[dead] = true;
-                let epoch = home.view_epoch + 1;
-                home.view_epoch = epoch;
-                let survivor = if h == SRC { "src" } else { "tgt" };
-                let victim = match dead {
-                    SRC => "src",
-                    TGT => "tgt",
-                    _ => "req",
-                };
-                let phase = home.m.transient().name();
-                ck.kill_phases.insert((victim, phase));
-                let _ = survivor;
-                HomeEvent::PeerDown {
-                    dead,
-                    view_epoch: epoch,
-                }
-            }
-            MMsg::Fill { .. } | MMsg::Inv | MMsg::RecallDirty | MMsg::HomeMoved { .. } => {
-                mfail(ck, trace, w, "home received a remote-only message")
-            }
-        };
-        m_run_home(w, ck, trace, h, ev);
-    }
-
-    fn m_deliver_to_req(w: &mut MigWorld, ck: &mut MCk, trace: &[String], from: usize, msg: MMsg) {
-        match msg {
-            MMsg::Fill { exclusive, val } => {
-                w.r_inflight = false;
-                w.r_state = if exclusive {
-                    LocalState::Exclusive
-                } else {
-                    LocalState::Shared
-                };
-                w.r_val = val;
-                match w.r_app {
-                    App::Waiting(Kind::Write) => {
-                        if exclusive {
-                            w.r_val = w.next_val;
-                            w.next_val += 1;
-                            w.r_dirty = true;
-                            w.r_app = App::Idle;
-                        }
-                        // else: the stale shared completion of an aborted
-                        // earlier read (the runtime matches completions to
-                        // wait-cells); the rights are recorded, the write
-                        // keeps waiting for its exclusive fill.
-                    }
-                    App::Waiting(_) => w.r_app = App::Idle,
-                    // A fill for a request whose app already errored out
-                    // (timeout after a death): the rights are real, the
-                    // completion is spurious.
-                    App::Idle => {}
-                }
-            }
-            MMsg::Inv => {
-                // Mirrors CacheMachine::on_event(Invalidate): only a Shared
-                // copy is invalidated and acked. Any other state means the
-                // invalidate crossed with our own EvictNotice/Writeback (or
-                // with a fresh grant from the chunk's NEW home after a
-                // migration) — the in-flight notice satisfies the old
-                // home's ack set, and an extra ack here would be stale.
-                if w.r_state == LocalState::Shared {
-                    w.r_state = LocalState::Invalid;
-                    if w.alive(from) {
-                        w.links[REQ][from].push_back(MMsg::InvAck);
-                    }
-                }
-            }
-            MMsg::RecallDirty => {
-                if w.r_state == LocalState::Exclusive {
-                    let val = w.r_val;
-                    w.r_state = LocalState::Invalid;
-                    w.r_dirty = false;
-                    if w.alive(from) {
-                        w.links[REQ][from].push_back(MMsg::Writeback { val });
-                    }
-                }
-                // else: crossed with our own eviction; the in-flight
-                // writeback/evict-notice satisfies the recall.
-            }
-            MMsg::HomeMoved { new_home, epoch } => {
-                if epoch > w.r_home_epoch {
-                    w.r_home = new_home;
-                    w.r_home_epoch = epoch;
-                }
-                // The redirect names a home this node already knows is
-                // dead: the runtime's retry resolves against the updated
-                // map, sees the peer down, and surfaces NodeUnavailable
-                // instead of re-sending into the corpse.
-                if matches!(w.r_app, App::Waiting(_)) && w.r_knows_dead[w.r_home] {
-                    w.r_app = App::Idle;
-                }
-            }
-            MMsg::Down { dead } => {
-                w.r_knows_dead[dead] = true;
-                // A parked request may have been lost with the corpse (or
-                // forwarded into it); the runtime's RPC timeout surfaces
-                // the retry/unavailable path rather than hanging.
-                if matches!(w.r_app, App::Waiting(_)) {
-                    w.r_app = App::Idle;
-                }
-            }
-            other => mfail(
-                ck,
-                trace,
-                w,
-                &format!("requester received a home-only message {other:?}"),
-            ),
-        }
-    }
-
-    fn m_apply(w: &mut MigWorld, ck: &mut MCk, trace: &[String], tr: MTr) {
-        match tr {
-            MTr::Deliver { from, to } => {
-                let msg = w.links[from][to].pop_front().unwrap();
-                if to == REQ {
-                    m_deliver_to_req(w, ck, trace, from, msg);
-                } else {
-                    m_deliver_to_home(w, ck, trace, to, from, msg);
-                }
-            }
-            MTr::DrainHome(h) => {
-                w.homes[h].as_mut().unwrap().draining = false;
-                m_run_home(w, ck, trace, h, HomeEvent::Drained);
-            }
-            MTr::PersistDone(h) => {
-                let (seq, val) = w.pending_persist[h].take().unwrap();
-                if seq > w.log[h].0 {
-                    w.log[h] = (seq, val);
-                }
-                // Record the acknowledgement for the no-lost-write theorem
-                // *before* the protocol resumes, mirroring the machine's
-                // own completion checks.
-                let awaited = match w.homes[h].as_ref().unwrap().m.transient() {
-                    darray::protocol::Transient::AwaitPersist { seq: s } => seq >= *s,
-                    darray::protocol::Transient::MigratingIn {
-                        mig_epoch,
-                        phase: darray::protocol::MigInPhase::Persist,
-                        ..
-                    } => seq >= *mig_epoch,
-                    _ => false,
-                };
-                if awaited {
-                    w.acked_val = w.acked_val.max(val);
-                }
-                m_run_home(w, ck, trace, h, HomeEvent::PersistDone { seq });
-            }
-            MTr::BeginMigration => {
-                w.mig_pending = false;
-                m_run_home(w, ck, trace, SRC, HomeEvent::BeginMigration { to: TGT });
-            }
-            MTr::AppReq(kind) => {
-                w.r_app = App::Waiting(kind);
-                w.r_req_budget -= 1;
-                w.r_inflight = true;
-                let home = w.r_home;
-                if w.alive(home) {
-                    w.links[REQ][home].push_back(MMsg::Req { kind });
-                }
-            }
-            MTr::WriteHit => {
-                w.r_req_budget -= 1;
-                w.r_val = w.next_val;
-                w.next_val += 1;
-                w.r_dirty = true;
-            }
-            MTr::Evict => {
-                w.r_evict_budget -= 1;
-                let val = w.r_val;
-                let state = w.r_state;
-                w.r_state = LocalState::Invalid;
-                w.r_dirty = false;
-                // Evict notices go to the node the requester believes is
-                // home; a migration recall crossing with this is exactly
-                // the race the protocol must absorb. An Exclusive line is
-                // the directory's Dirty owner whether or not it was
-                // actually written, so its eviction is always a writeback.
-                let home = w.r_home;
-                if w.alive(home) {
-                    if state == LocalState::Exclusive {
-                        w.links[REQ][home].push_back(MMsg::Writeback { val });
-                    } else {
-                        w.links[REQ][home].push_back(MMsg::EvictNotice);
-                    }
-                }
-            }
-            MTr::Kill {
-                victim,
-                keep,
-                flush_disk,
-            } => {
-                w.kill_budget -= 1;
-                if victim < 2 {
-                    if let Some((seq, val)) = w.pending_persist[victim].take() {
-                        if flush_disk && seq > w.log[victim].0 {
-                            w.log[victim] = (seq, val);
-                        }
-                    }
-                    w.homes[victim] = None;
-                } else {
-                    w.r_alive = false;
-                    w.r_state = LocalState::Invalid;
-                    w.r_dirty = false;
-                    w.r_app = App::Idle;
-                    w.r_inflight = false;
-                    w.r_req_budget = 0;
-                    w.r_evict_budget = 0;
-                }
-                // Inbound links to the corpse are never consumed.
-                for from in 0..3 {
-                    if from != victim {
-                        w.links[from][victim].clear();
-                    }
-                }
-                // Outgoing links: an arbitrary prefix survives, then the
-                // quorum-confirmed Down marker (always last, FIFO).
-                for (i, (from, to)) in out_links(victim).into_iter().enumerate() {
-                    w.links[from][to].truncate(keep[i]);
-                    if w.alive(to) {
-                        w.links[from][to].push_back(MMsg::Down { dead: victim });
-                    } else {
-                        w.links[from][to].clear();
-                    }
-                }
-            }
-        }
-    }
-
-    /// §15 safety, checked in every reachable state.
-    fn m_check_safety(w: &MigWorld, ck: &mut MCk, trace: &[String]) {
-        let src_auth = w.homes[SRC]
-            .as_ref()
-            .is_some_and(|h| h.m.migrated_to().is_none() && !h.departed);
-        let tgt_auth = w.homes[TGT].as_ref().is_some_and(|h| h.adopted);
-        if src_auth && tgt_auth {
-            mfail(ck, trace, w, "two homes simultaneously authoritative");
-        }
-        // Executor/machine agreement on departure.
-        if let Some(h) = &w.homes[SRC] {
-            if h.departed != h.m.migrated_to().is_some() {
-                mfail(ck, trace, w, "departed flag out of sync with migrated_to");
-            }
-        }
-        // No acked write lost (durable): the newest acknowledged value is
-        // recoverable — in a live authoritative home's image, or in the
-        // log record best-epoch-wins replay would pick.
-        if w.durable {
-            let recoverable = if src_auth {
-                w.img[SRC]
-            } else if tgt_auth {
-                w.img[TGT]
-            } else if w.log[TGT].0 >= w.log[SRC].0 {
-                w.log[TGT].1
-            } else {
-                w.log[SRC].1
-            };
-            if recoverable < w.acked_val {
-                mfail(
-                    ck,
-                    trace,
-                    w,
-                    &format!(
-                        "acked write lost: acked value {} but only {recoverable} recoverable",
-                        w.acked_val
-                    ),
-                );
-            }
-        }
-    }
-
-    /// Liveness at quiescence: nothing parked forever.
-    fn m_check_quiescence(w: &MigWorld, ck: &mut MCk, trace: &[String]) {
-        if w.r_alive && matches!(w.r_app, App::Waiting(_)) {
-            mfail(ck, trace, w, "requester app parked forever at quiescence");
-        }
-        for h in 0..2 {
-            if let Some(home) = &w.homes[h] {
-                if !home.m.transient().is_none() {
-                    mfail(
-                        ck,
-                        trace,
-                        w,
-                        &format!("home {h} transient pending at quiescence"),
-                    );
-                }
-                if home.m.pending_len() != 0 {
-                    mfail(
-                        ck,
-                        trace,
-                        w,
-                        &format!("home {h} still holds parked requests at quiescence"),
-                    );
-                }
-            }
-        }
-        let departed = w.homes[SRC].as_ref().is_some_and(|h| h.departed);
-        let adopted = w.homes[TGT].as_ref().is_some_and(|h| h.adopted);
-        if departed && adopted {
-            ck.completed += 1;
-        }
-        // A target death must leave the source authoritative again.
-        if w.homes[TGT].is_none() && !w.mig_pending {
-            if let Some(src) = &w.homes[SRC] {
-                if src.m.migrated_to().is_none() {
-                    ck.aborted += 1;
-                }
-            }
-        }
-    }
-
-    fn m_state_key(w: &MigWorld) -> u64 {
-        let mut h = std::hash::DefaultHasher::new();
-        format!("{w:?}").hash(&mut h);
-        h.finish()
-    }
-
-    fn m_dfs(w: &MigWorld, depth: usize, ck: &mut MCk, trace: &mut Vec<String>) {
-        if !ck.seen.insert(m_state_key(w)) {
-            return;
-        }
-        if ck.seen.len() > ck.max_states {
-            mfail(
-                ck,
-                trace,
-                w,
-                "state-space budget exceeded (raise DARRAY_MC_MAX_STATES)",
-            );
-        }
-        m_check_safety(w, ck, trace);
-        let internal = m_internal(w);
-        if internal.is_empty() {
-            ck.quiescent += 1;
-            m_check_quiescence(w, ck, trace);
-        }
-        if depth >= ck.max_depth {
-            ck.depth_pruned += 1;
-            return;
-        }
-        let mut all = internal;
-        all.extend(m_external(w));
-        for tr in all {
-            let mut child = w.clone();
-            trace.push(m_label(w, tr));
-            m_apply(&mut child, ck, trace, tr);
-            m_dfs(&child, depth + 1, ck, trace);
-            trace.pop();
-        }
-    }
-
-    fn m_summarize(ck: &MCk, name: &str) {
-        println!(
-            "[{name}] states={} quiescent={} depth_pruned={} completed={} aborted={} \
-             migrations_out={} migrations_in={} parked_replays={} forwards={} kill_phases={:?}",
-            ck.seen.len(),
-            ck.quiescent,
-            ck.depth_pruned,
-            ck.completed,
-            ck.aborted,
-            ck.migrations_out,
-            ck.migrations_in,
-            ck.parked_replays,
-            ck.forwards,
-            ck.kill_phases,
-        );
-    }
 
     /// Non-durable search: one migration, a requester issuing two
     /// Read/Write requests plus one eviction, and one kill of source,
@@ -3224,20 +249,25 @@ mod migration {
     /// and covers kills in every non-persist migration phase.
     #[test]
     fn migration_model_single_authority() {
-        let mut ck = MCk::new();
-        let w = MigWorld::new(2, 1, 1, false);
-        let mut trace = Vec::new();
-        m_dfs(&w, 0, &mut ck, &mut trace);
-        m_summarize(&ck, "migration");
+        let s = checker::migration::search("migration").run();
 
-        assert!(ck.completed > 0, "no interleaving committed the migration");
-        assert!(ck.aborted > 0, "no target death was ever absorbed by abort");
-        assert!(ck.migrations_out > 0 && ck.migrations_in > 0);
         assert!(
-            ck.parked_replays > 0,
+            s.model.completed > 0,
+            "no interleaving committed the migration"
+        );
+        assert!(
+            s.model.aborted > 0,
+            "no target death was ever absorbed by abort"
+        );
+        assert!(s.model.migrations_out > 0 && s.model.migrations_in > 0);
+        assert!(
+            s.model.parked_replays > 0,
             "no request was ever parked behind the fence and replayed"
         );
-        assert!(ck.forwards > 0, "no stale-home request was ever forwarded");
+        assert!(
+            s.model.forwards > 0,
+            "no stale-home request was ever forwarded"
+        );
         // Kills must land in every migration phase of the survivor that
         // observes them: the source sees target/requester deaths in every
         // outbound phase, the target sees source deaths while awaiting the
@@ -3248,26 +278,30 @@ mod migration {
             "MigratingOut:AwaitAck",
         ] {
             assert!(
-                ck.kill_phases.contains(&("tgt", phase)),
+                s.model.kill_phases.contains(&("tgt", phase)),
                 "no target kill consumed during {phase}: {:?}",
-                ck.kill_phases
+                s.model.kill_phases
             );
         }
         assert!(
-            ck.kill_phases.contains(&("req", "MigratingOut:Recall")),
+            s.model
+                .kill_phases
+                .contains(&("req", "MigratingOut:Recall")),
             "no requester kill consumed during the migration recall: {:?}",
-            ck.kill_phases
+            s.model.kill_phases
         );
         assert!(
-            ck.kill_phases.contains(&("src", "MigratingIn:AwaitCommit")),
+            s.model
+                .kill_phases
+                .contains(&("src", "MigratingIn:AwaitCommit")),
             "no source kill consumed while the target awaited the commit: {:?}",
-            ck.kill_phases
+            s.model.kill_phases
         );
         let min_states = env_usize("DARRAY_MC_MIN_STATES", 2_000);
         assert!(
-            ck.seen.len() >= min_states,
+            s.states() >= min_states,
             "explored only {} states (< {min_states}); the model lost coverage",
-            ck.seen.len()
+            s.states()
         );
     }
 
@@ -3277,22 +311,25 @@ mod migration {
     /// target's persist phase.
     #[test]
     fn migration_model_durable_no_lost_write() {
-        let mut ck = MCk::new();
-        let w = MigWorld::new(2, 1, 1, true);
-        let mut trace = Vec::new();
-        m_dfs(&w, 0, &mut ck, &mut trace);
-        m_summarize(&ck, "migration-durable");
+        let s = checker::migration::search("migration-durable").run();
 
-        assert!(ck.completed > 0, "no interleaving committed the migration");
         assert!(
-            ck.kill_phases.contains(&("src", "MigratingIn:Persist")),
-            "no source kill consumed during the target's adopt-persist: {:?}",
-            ck.kill_phases
+            s.model.completed > 0,
+            "no interleaving committed the migration"
         );
         assert!(
-            ck.kill_phases.contains(&("src", "MigratingIn:AwaitCommit")),
+            s.model
+                .kill_phases
+                .contains(&("src", "MigratingIn:Persist")),
+            "no source kill consumed during the target's adopt-persist: {:?}",
+            s.model.kill_phases
+        );
+        assert!(
+            s.model
+                .kill_phases
+                .contains(&("src", "MigratingIn:AwaitCommit")),
             "no source kill consumed while the target awaited the commit: {:?}",
-            ck.kill_phases
+            s.model.kill_phases
         );
         for phase in [
             "MigratingOut:Recall",
@@ -3300,9 +337,9 @@ mod migration {
             "MigratingOut:AwaitAck",
         ] {
             assert!(
-                ck.kill_phases.contains(&("tgt", phase)),
+                s.model.kill_phases.contains(&("tgt", phase)),
                 "no target kill consumed during {phase}: {:?}",
-                ck.kill_phases
+                s.model.kill_phases
             );
         }
     }
