@@ -7,7 +7,7 @@
 //! bigger) — the *relative* behaviour is scale-invariant (see DESIGN.md §2).
 
 use darray_bench::graphs::{graph_cell_with_traffic, Algo, GraphSys};
-use darray_bench::report::{fmt, print_table, scalability, write_bench_json};
+use darray_bench::report::{fmt, print_table, scalability, write_bench_json_with_metrics};
 
 fn main() {
     let fast = darray_bench::fast_mode();
@@ -25,6 +25,7 @@ fn main() {
     ];
 
     let mut traffic = Vec::new();
+    let mut metrics = Vec::new();
     for algo in [Algo::PageRank, Algo::Cc] {
         let mut rows = Vec::new();
         let mut speed: Vec<Vec<(usize, f64)>> = vec![Vec::new(); systems.len()];
@@ -39,10 +40,12 @@ fn main() {
                     continue;
                 }
                 let (t, tr) = graph_cell_with_traffic(sys, algo, n, scale, 4, iters);
-                if let Some(tr) = tr {
-                    traffic.push((format!("{}_{}_{n}n", sys.label(), algo.label()), tr));
-                }
+                let cell = format!("{}_{}_{n}n", sys.label(), algo.label());
                 let ms = t as f64 / 1e6;
+                metrics.push((format!("{cell}_ms"), ms));
+                if let Some(tr) = tr {
+                    traffic.push((cell, tr));
+                }
                 speed[si].push((n, 1.0 / ms)); // "throughput" = 1/time
                 row.push(fmt(ms));
             }
@@ -63,7 +66,7 @@ fn main() {
         );
     }
     println!("\npaper: DArray 2-3 orders of magnitude faster than GAM; Gemini wins on 1 node, DArray-Pin overtakes as nodes grow (1.3x PR / 2.1x CC), with scalability 0.55/0.74 vs Gemini's 0.28/0.09.");
-    match write_bench_json("fig16", &traffic) {
+    match write_bench_json_with_metrics("fig16", &metrics, &traffic) {
         Ok(p) => println!("protocol traffic written to {}", p.display()),
         Err(e) => eprintln!("could not write BENCH_fig16.json: {e}"),
     }
