@@ -3,7 +3,7 @@
 //! Compares a builtin array, BCL, GAM, DArray and DArray-Pin.
 
 use darray_bench::micro::{micro, Op, Pattern, System};
-use darray_bench::report::{fmt, print_table, write_bench_json};
+use darray_bench::report::{fmt, print_table, write_bench_json_with_metrics};
 
 fn main() {
     let fast = darray_bench::fast_mode();
@@ -52,7 +52,7 @@ fn main() {
         "\npaper: BCL distributed ≈ RDMA round trip (~2 µs); GAM lower than \
          BCL remotely but far above builtin locally; DArray low; DArray-Pin lowest."
     );
-    match write_bench_json("fig01", &traffic) {
+    match write_bench_json_with_metrics("fig01", &[], &traffic) {
         Ok(p) => println!("protocol traffic written to {}", p.display()),
         Err(e) => eprintln!("could not write BENCH_fig01.json: {e}"),
     }

@@ -2,7 +2,7 @@
 //! Operate interface vs WLock+Read+Write, one thread per node.
 
 use darray_bench::operate::zipf_update;
-use darray_bench::report::{fmt, print_table, write_bench_json};
+use darray_bench::report::{fmt, print_table, write_bench_json_with_metrics};
 
 fn main() {
     let fast = darray_bench::fast_mode();
@@ -37,7 +37,7 @@ fn main() {
         &lat,
     );
     println!("\npaper: Operate scales with nodes at flat latency; the lock-based scheme's throughput stalls and its latency grows sharply (exclusive-ownership contention).");
-    match write_bench_json("fig14", &traffic) {
+    match write_bench_json_with_metrics("fig14", &[], &traffic) {
         Ok(p) => println!("protocol traffic written to {}", p.display()),
         Err(e) => eprintln!("could not write BENCH_fig14.json: {e}"),
     }

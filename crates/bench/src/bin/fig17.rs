@@ -2,7 +2,7 @@
 //! Zipfian(0.99) key distribution, varying thread count and get ratio.
 
 use darray_bench::kvsbench::{kvs_ycsb, KvSys};
-use darray_bench::report::{fmt, print_table, write_bench_json};
+use darray_bench::report::{fmt, print_table, write_bench_json_with_metrics};
 
 fn main() {
     let fast = darray_bench::fast_mode();
@@ -74,7 +74,7 @@ fn main() {
         &sweep_rows,
     );
     println!("\npaper: 20x-41x at 100% gets; 2x-3.8x under put-heavy contention; DArray-KVS also scales better intra-node (0.63-0.96 vs 0.48-0.64).");
-    match write_bench_json("fig17", &traffic) {
+    match write_bench_json_with_metrics("fig17", &[], &traffic) {
         Ok(p) => println!("protocol traffic written to {}", p.display()),
         Err(e) => eprintln!("could not write BENCH_fig17.json: {e}"),
     }

@@ -4,7 +4,7 @@
 //! GAM, while cache-less BCL stays flat at the RDMA round trip.
 
 use darray_bench::micro::{micro, Op, Pattern, System};
-use darray_bench::report::{fmt, print_table, write_bench_json};
+use darray_bench::report::{fmt, print_table, write_bench_json_with_metrics};
 
 fn main() {
     let fast = darray_bench::fast_mode();
@@ -105,7 +105,7 @@ fn main() {
         &sweep_rows,
     );
     println!("\npaper: DArray/GAM latency grows with nodes (coherence + eviction overhead); BCL stays ≈2 µs; random writes cost more than reads (contention).");
-    match write_bench_json("fig18", &traffic) {
+    match write_bench_json_with_metrics("fig18", &[], &traffic) {
         Ok(p) => println!("protocol traffic written to {}", p.display()),
         Err(e) => eprintln!("could not write BENCH_fig18.json: {e}"),
     }

@@ -712,7 +712,11 @@ mod tests {
             epochs_aborted: 1,
             ..Default::default()
         };
-        let body = darray_bench::report::render_bench_json("rt", &[("w_1n".to_string(), t)]);
+        let body = darray_bench::report::render_bench_json_with_metrics(
+            "rt",
+            &[],
+            &[("w_1n".to_string(), t)],
+        );
         let parsed = parse_bench(&body).unwrap().traffic;
         assert_eq!(parsed["w_1n"]["fills"], 3);
         assert_eq!(parsed["w_1n"]["epochs_aborted"], 1);
@@ -734,7 +738,11 @@ mod tests {
         // cannot round-trip.
         let value = |name: &str| 1000 + rows.iter().position(|r| r.0 == name).unwrap() as u64;
         let t = darray::NodeStatsSnapshot::from_fn(value);
-        let body = darray_bench::report::render_bench_json("rows", &[("s".to_string(), t)]);
+        let body = darray_bench::report::render_bench_json_with_metrics(
+            "rows",
+            &[],
+            &[("s".to_string(), t)],
+        );
         let section = &parse_bench(&body).unwrap().traffic["s"];
 
         let mut last = 0;

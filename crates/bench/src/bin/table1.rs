@@ -11,7 +11,7 @@
 use darray::{
     table1_rows, ArrayOptions, Cluster, ClusterConfig, NodeStatsSnapshot, Sim, SimConfig,
 };
-use darray_bench::report::{collect_traffic, print_table, write_bench_json};
+use darray_bench::report::{collect_traffic, print_table, write_bench_json_with_metrics};
 
 /// Walk a chunk homed at node 0 through every Table 1 state and return the
 /// cluster-wide protocol traffic. Deterministic in virtual time: the JSON
@@ -80,7 +80,7 @@ fn main() {
     );
 
     let walk = state_walk();
-    match write_bench_json("table1", &[("state_walk_2n".to_string(), walk)]) {
+    match write_bench_json_with_metrics("table1", &[], &[("state_walk_2n".to_string(), walk)]) {
         Ok(p) => println!("protocol traffic written to {}", p.display()),
         Err(e) => eprintln!("could not write BENCH_table1.json: {e}"),
     }

@@ -11,17 +11,21 @@ use crate::op::OpId;
 use crate::pin::PinMode;
 
 impl<T: Element> DArray<T> {
-    fn windows(&self, range: std::ops::Range<usize>) -> Vec<std::ops::Range<usize>> {
+    /// Split `range` at chunk boundaries: each window lies inside one
+    /// chunk, so one [`DArray::pin`] on its start covers all of it.
+    pub fn windows(
+        &self,
+        range: std::ops::Range<usize>,
+    ) -> impl Iterator<Item = std::ops::Range<usize>> {
         assert!(range.end <= self.len(), "range out of bounds");
         let chunk = self.chunk_size();
-        let mut out = Vec::new();
         let mut at = range.start;
-        while at < range.end {
+        std::iter::from_fn(move || {
             let hi = (at - at % chunk + chunk).min(range.end);
-            out.push(at..hi);
+            let w = at..hi;
             at = hi;
-        }
-        out
+            (!w.is_empty()).then_some(w)
+        })
     }
 
     /// Read `range` into a vector (chunk-pinned sequential reads).

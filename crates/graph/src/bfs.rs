@@ -22,7 +22,7 @@ pub fn bfs_darray(
         cluster,
         el,
         move |v| if v == src { 0 } else { u64::MAX },
-        |d| if d == u64::MAX { None } else { Some(d + 1) },
+        |_, _, d| (d != u64::MAX).then(|| d + 1),
         pin,
     )
 }
@@ -58,6 +58,20 @@ mod tests {
             r
         });
         assert_eq!(got.values, want);
+    }
+
+    #[test]
+    fn bfs_pin_matches_plain_and_is_faster() {
+        let el = rmat(9, 4, 21);
+        crate::cc::tests::assert_pin_matches_plain_and_is_faster(|pin| {
+            let el = el.clone();
+            Sim::new(SimConfig::default()).run(move |ctx| {
+                let cluster = Cluster::new(ctx, ClusterConfig::test_config(2));
+                let r = bfs_darray(ctx, &cluster, &el, 0, pin);
+                cluster.shutdown(ctx);
+                r
+            })
+        });
     }
 
     #[test]

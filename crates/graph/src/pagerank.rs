@@ -3,14 +3,10 @@
 //! next-rank array; the Operate interface combines remote contributions
 //! locally and reduces them at each chunk's home node.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use darray::{ArrayOptions, Cluster, Ctx, DArray, OpId, PinMode, VTime};
-use parking_lot::Mutex;
+use darray::{Cluster, Ctx, PinMode, VTime};
 
 use crate::csr::EdgeList;
-use crate::local::LocalGraph;
+use crate::engine::{partition, run_double_buffered, Window};
 
 /// Result of a distributed PageRank run.
 pub struct PrResult {
@@ -19,102 +15,6 @@ pub struct PrResult {
     pub elapsed: VTime,
     /// Final ranks (gathered at node 0).
     pub ranks: Vec<f64>,
-}
-
-/// Walk `owned` in chunk-sized windows (`owned.start` is chunk-aligned).
-fn chunk_windows(
-    owned: std::ops::Range<usize>,
-    chunk: usize,
-) -> impl Iterator<Item = std::ops::Range<usize>> {
-    let mut at = owned.start;
-    std::iter::from_fn(move || {
-        if at >= owned.end {
-            return None;
-        }
-        let hi = (at + chunk).min(owned.end);
-        let r = at..hi;
-        at = hi;
-        Some(r)
-    })
-}
-
-/// One scatter pass: contributions of owned vertices into `dst`.
-fn scatter(
-    ctx: &mut Ctx,
-    g: &LocalGraph,
-    src: &DArray<f64>,
-    dst: &DArray<f64>,
-    add: OpId,
-    pin: bool,
-) {
-    let chunk = src.chunk_size();
-    if pin {
-        for w in chunk_windows(g.owned.clone(), chunk) {
-            let p = src.pin(ctx, w.start, PinMode::Read);
-            for u in w {
-                let d = g.degree(u);
-                if d == 0 {
-                    continue;
-                }
-                let c = p.get(ctx, u) / d as f64;
-                for &v in g.neighbors(u) {
-                    dst.apply(ctx, v as usize, add, c);
-                }
-            }
-            p.unpin();
-        }
-    } else {
-        for u in g.owned.clone() {
-            let d = g.degree(u);
-            if d == 0 {
-                continue;
-            }
-            let c = src.get(ctx, u) / d as f64;
-            for &v in g.neighbors(u) {
-                dst.apply(ctx, v as usize, add, c);
-            }
-        }
-    }
-}
-
-/// Zero the owned range of `dst`.
-fn zero_owned(ctx: &mut Ctx, g: &LocalGraph, dst: &DArray<f64>, pin: bool) {
-    let chunk = dst.chunk_size();
-    if pin {
-        for w in chunk_windows(g.owned.clone(), chunk) {
-            let p = dst.pin(ctx, w.start, PinMode::Write);
-            for v in w {
-                p.set(ctx, v, 0.0);
-            }
-            p.unpin();
-        }
-    } else {
-        for v in g.owned.clone() {
-            dst.set(ctx, v, 0.0);
-        }
-    }
-}
-
-/// Apply the damping rule to the owned range of `dst` (reading an owned
-/// element recalls any outstanding Operated state and reduces it).
-fn damp_owned(ctx: &mut Ctx, g: &LocalGraph, dst: &DArray<f64>, n: usize, pin: bool) {
-    let base = 0.15 / n as f64;
-    let chunk = dst.chunk_size();
-    if pin {
-        for w in chunk_windows(g.owned.clone(), chunk) {
-            let p = dst.pin(ctx, w.start, PinMode::Write);
-            for v in w {
-                let s = p.get(ctx, v);
-                p.set(ctx, v, base + 0.85 * s);
-            }
-            p.unpin();
-        }
-    } else {
-        for v in g.owned.clone() {
-            let s = dst.get(ctx, v);
-            dst.set(ctx, v, base + 0.85 * s);
-        }
-    }
 }
 
 /// Run `iters` PageRank iterations on an existing cluster; `pin` selects
@@ -127,52 +27,52 @@ pub fn pagerank_darray(
     pin: bool,
 ) -> PrResult {
     let n = el.vertices;
-    let nodes = cluster.config().nodes;
-    let (locals, offsets) = LocalGraph::partition_balanced(el, nodes);
-    let locals = Arc::new(locals);
-    let opts = ArrayOptions {
-        chunk_size: None,
-        partition_offset: Some(offsets),
-    };
+    let (locals, opts) = partition(el, cluster.config().nodes);
     let add = cluster.ops().register_add_f64();
     let a = cluster.alloc_with::<f64>(n, opts.clone(), |_| 1.0 / n as f64);
     let b = cluster.alloc::<f64>(n, opts);
-    let elapsed = Arc::new(AtomicU64::new(0));
-    let out = Arc::new(Mutex::new(Vec::new()));
-    let (e2, o2) = (elapsed.clone(), out.clone());
-    cluster.run(ctx, 1, move |ctx, env| {
-        let g = &locals[env.node];
-        let arrs = [a.on(env.node), b.on(env.node)];
-        env.barrier(ctx);
-        let t0 = ctx.now();
-        for it in 0..iters {
-            let src = &arrs[it % 2];
-            let dst = &arrs[(it + 1) % 2];
-            zero_owned(ctx, g, dst, pin);
-            env.barrier(ctx);
-            scatter(ctx, g, src, dst, add, pin);
-            env.barrier(ctx);
-            damp_owned(ctx, g, dst, n, pin);
-            env.barrier(ctx);
-        }
-        e2.fetch_max(ctx.now() - t0, Ordering::Relaxed);
-        env.barrier(ctx);
-        if env.node == 0 {
-            let fin = &arrs[iters % 2];
-            let mut v = Vec::with_capacity(n);
-            for i in 0..n {
-                v.push(fin.get(ctx, i));
+    let base = 0.15 / n as f64;
+    let (elapsed, ranks, _) =
+        run_double_buffered(ctx, cluster, locals, [a, b], move |ctx, env, g, arrs| {
+            for it in 0..iters {
+                let (src, dst) = (&arrs[it % 2], &arrs[(it + 1) % 2]);
+                // Zero the owned range of dst.
+                for w in dst.windows(g.owned.clone()) {
+                    let d = Window::open(ctx, dst, w.start, PinMode::Write, pin);
+                    for v in w {
+                        d.set(ctx, v, 0.0);
+                    }
+                }
+                env.barrier(ctx);
+                // Scatter the owned vertices' contributions into dst.
+                for w in src.windows(g.owned.clone()) {
+                    let s = Window::open(ctx, src, w.start, PinMode::Read, pin);
+                    for u in w {
+                        let deg = g.degree(u);
+                        if deg == 0 {
+                            continue;
+                        }
+                        let c = s.get(ctx, u) / deg as f64;
+                        for &v in g.neighbors(u) {
+                            dst.apply(ctx, v as usize, add, c);
+                        }
+                    }
+                }
+                env.barrier(ctx);
+                // Damp the owned range of dst (reading an owned element
+                // recalls any outstanding Operated state and reduces it).
+                for w in dst.windows(g.owned.clone()) {
+                    let d = Window::open(ctx, dst, w.start, PinMode::Write, pin);
+                    for v in w {
+                        let s = d.get(ctx, v);
+                        d.set(ctx, v, base + 0.85 * s);
+                    }
+                }
+                env.barrier(ctx);
             }
-            *o2.lock() = v;
-        }
-    });
-    PrResult {
-        elapsed: elapsed.load(Ordering::Relaxed),
-        ranks: {
-            let mut g = out.lock();
-            std::mem::take(&mut *g)
-        },
-    }
+            iters
+        });
+    PrResult { elapsed, ranks }
 }
 
 #[cfg(test)]

@@ -1,17 +1,13 @@
 //! Single-source shortest paths over DArray (an extension beyond the
-//! paper's two applications): Bellman-Ford-style relaxation where each
-//! round `apply`s `min(dist[u] + w)` along owned weighted edges. The
-//! Operated state combines relaxations from all nodes locally.
+//! paper's two applications): Bellman-Ford-style relaxation on the
+//! min-propagation engine, where each round `apply`s `min(dist[u] + w)`
+//! along owned weighted edges. The Operated state combines relaxations
+//! from all nodes locally.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use darray::{Cluster, Ctx};
 
-use darray::{ArrayOptions, Cluster, Ctx, PinMode};
-use parking_lot::Mutex;
-
-use crate::cc::PropagateResult;
-use crate::csr::EdgeList;
-use crate::local::LocalGraph;
+use crate::cc::{min_propagate_darray, PropagateResult};
+use crate::csr::{Csr, EdgeList};
 use workloads::Rng;
 
 /// Per-edge weights aligned with an [`EdgeList`]'s edge order.
@@ -52,15 +48,8 @@ pub fn sssp_ref(el: &EdgeList, w: &EdgeWeights, src: usize) -> Vec<u64> {
     }
 }
 
-/// Per-node weighted subgraph (parallel arrays to [`LocalGraph`]'s CSR
-/// would complicate it; we keep a flat owned edge list instead — SSSP is
-/// edge-oriented anyway).
-struct LocalWeighted {
-    owned: std::ops::Range<usize>,
-    edges: Vec<(u32, u32, u32)>, // (src, dst, weight)
-}
-
-/// Distributed SSSP; returns distances (unreachable = `u64::MAX`).
+/// Distributed SSSP on the min-propagation engine; returns distances
+/// (unreachable = `u64::MAX`).
 pub fn sssp_darray(
     ctx: &mut Ctx,
     cluster: &Cluster,
@@ -71,118 +60,26 @@ pub fn sssp_darray(
 ) -> PropagateResult {
     assert!(src < el.vertices);
     assert_eq!(weights.0.len(), el.edges.len());
-    let n = el.vertices;
-    let nodes = cluster.config().nodes;
-    let (locals, offsets) = LocalGraph::partition_balanced(el, nodes);
-    let ranges: Vec<std::ops::Range<usize>> = locals.iter().map(|l| l.owned.clone()).collect();
-    let mut per_node: Vec<Vec<(u32, u32, u32)>> = vec![Vec::new(); nodes];
-    for (k, &(u, v)) in el.edges.iter().enumerate() {
-        let owner = ranges
-            .partition_point(|r| r.end <= u as usize)
-            .min(nodes - 1);
-        per_node[owner].push((u, v, weights.0[k]));
-    }
-    let locals: Arc<Vec<LocalWeighted>> = Arc::new(
-        ranges
+    // `by_src.neighbors(u)` holds the weights of `u`'s out-edges in
+    // edge-list order, the order `LocalGraph::neighbors(u)` lists their
+    // targets in.
+    let by_src = Csr::from_edges(&EdgeList {
+        vertices: el.vertices,
+        edges: el
+            .edges
             .iter()
-            .zip(per_node)
-            .map(|(owned, edges)| LocalWeighted {
-                owned: owned.clone(),
-                edges,
-            })
+            .zip(&weights.0)
+            .map(|(&(u, _), &w)| (u, w))
             .collect(),
-    );
-    let opts = ArrayOptions {
-        chunk_size: None,
-        partition_offset: Some(offsets),
-    };
-    let min = cluster.ops().register_min_u64();
-    let init = move |v: usize| if v == src { 0 } else { u64::MAX };
-    let a = cluster.alloc_with::<u64>(n, opts.clone(), init);
-    let b = cluster.alloc_with::<u64>(n, opts, init);
-    let flags = cluster.alloc::<u64>(nodes, ArrayOptions::default());
-    let elapsed = Arc::new(AtomicU64::new(0));
-    let rounds_out = Arc::new(AtomicUsize::new(0));
-    let out = Arc::new(Mutex::new(Vec::new()));
-    let (e2, r2, o2) = (elapsed.clone(), rounds_out.clone(), out.clone());
-    cluster.run(ctx, 1, move |ctx, env| {
-        let g = &locals[env.node];
-        let arrs = [a.on(env.node), b.on(env.node)];
-        let fl = flags.on(env.node);
-        let chunk = arrs[0].chunk_size();
-        env.barrier(ctx);
-        let t0 = ctx.now();
-        let mut round = 0usize;
-        loop {
-            let src_a = &arrs[round % 2];
-            let dst_a = &arrs[(round + 1) % 2];
-            // Seed dst with src over the owned range.
-            let mut at = g.owned.start;
-            while at < g.owned.end {
-                let hi = (at - at % chunk + chunk).min(g.owned.end);
-                if pin {
-                    let ps = src_a.pin(ctx, at, PinMode::Read);
-                    let pd = dst_a.pin(ctx, at, PinMode::Write);
-                    for v in at..hi {
-                        let x = ps.get(ctx, v);
-                        pd.set(ctx, v, x);
-                    }
-                } else {
-                    for v in at..hi {
-                        let x = src_a.get(ctx, v);
-                        dst_a.set(ctx, v, x);
-                    }
-                }
-                at = hi;
-            }
-            env.barrier(ctx);
-            // Relax owned edges.
-            for &(u, v, w) in &g.edges {
-                let du = src_a.get(ctx, u as usize);
-                if du == u64::MAX {
-                    continue;
-                }
-                dst_a.apply(ctx, v as usize, min, du + w as u64);
-            }
-            env.barrier(ctx);
-            // Convergence check.
-            let mut changed = false;
-            for v in g.owned.clone() {
-                changed |= src_a.get(ctx, v) != dst_a.get(ctx, v);
-            }
-            fl.set(ctx, env.node, changed as u64);
-            env.barrier(ctx);
-            let mut any = false;
-            for i in 0..env.nodes {
-                any |= fl.get(ctx, i) != 0;
-            }
-            env.barrier(ctx);
-            round += 1;
-            if !any {
-                break;
-            }
-            assert!(round <= n + 2, "SSSP failed to converge");
-        }
-        e2.fetch_max(ctx.now() - t0, Ordering::Relaxed);
-        env.barrier(ctx);
-        if env.node == 0 {
-            r2.store(round, Ordering::Relaxed);
-            let fin = &arrs[round % 2];
-            let mut v = Vec::with_capacity(n);
-            for i in 0..n {
-                v.push(fin.get(ctx, i));
-            }
-            *o2.lock() = v;
-        }
     });
-    PropagateResult {
-        elapsed: elapsed.load(Ordering::Relaxed),
-        values: {
-            let mut g = out.lock();
-            std::mem::take(&mut *g)
-        },
-        rounds: rounds_out.load(Ordering::Relaxed),
-    }
+    min_propagate_darray(
+        ctx,
+        cluster,
+        el,
+        move |v| if v == src { 0 } else { u64::MAX },
+        move |u, j, d| (d != u64::MAX).then(|| d + by_src.neighbors(u)[j] as u64),
+        pin,
+    )
 }
 
 #[cfg(test)]
@@ -217,6 +114,58 @@ mod tests {
             r
         });
         assert_eq!(got.values, want);
+    }
+
+    #[test]
+    fn sssp_pin_matches_plain_and_is_faster() {
+        let el = rmat(9, 4, 17);
+        let w = random_weights(&el, 10, 5);
+        crate::cc::tests::assert_pin_matches_plain_and_is_faster(|pin| {
+            let (el, w) = (el.clone(), w.clone());
+            Sim::new(SimConfig::default()).run(move |ctx| {
+                let cluster = Cluster::new(ctx, ClusterConfig::test_config(2));
+                let r = sssp_darray(ctx, &cluster, &el, &w, 0, pin);
+                cluster.shutdown(ctx);
+                r
+            })
+        });
+    }
+
+    #[test]
+    fn pin_variant_scans_owned_vertices_through_pins() {
+        // On one node every access is local, so with every owned-range scan
+        // (copy, relax, check) pinned, the only fast-path calls left are the
+        // relaxations' `apply`s, one flag write and one flag read per round,
+        // and the node-0 gather's n reads.
+        let el = rmat(8, 4, 18);
+        let w = random_weights(&el, 5, 6);
+        let (el2, w2) = (el.clone(), w.clone());
+        let (got, fast_hits) = Sim::new(SimConfig::default()).run(move |ctx| {
+            let cluster = Cluster::new(ctx, ClusterConfig::test_config(1));
+            let r = sssp_darray(ctx, &cluster, &el2, &w2, 2, true);
+            let hits = cluster.stats(0).fast_hits;
+            cluster.shutdown(ctx);
+            (r, hits)
+        });
+        // Round r relaxes every out-edge of each vertex reached before it.
+        let mut dist = vec![u64::MAX; el.vertices];
+        dist[2] = 0;
+        let mut applies = 0u64;
+        for _ in 0..got.rounds {
+            let prev = dist.clone();
+            for (k, &(u, v)) in el.edges.iter().enumerate() {
+                if prev[u as usize] != u64::MAX {
+                    applies += 1;
+                    let nd = prev[u as usize] + w.0[k] as u64;
+                    dist[v as usize] = dist[v as usize].min(nd);
+                }
+            }
+        }
+        assert_eq!(got.values, dist);
+        assert_eq!(
+            fast_hits,
+            applies + el.vertices as u64 + 2 * got.rounds as u64
+        );
     }
 
     #[test]

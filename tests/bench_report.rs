@@ -7,13 +7,13 @@
 use darray::{ArrayOptions, Cluster, NodeStatsSnapshot, Sim, SimConfig};
 use darray_bench::bench_cluster_config;
 use darray_bench::operate::zipf_update;
-use darray_bench::report::render_bench_json;
+use darray_bench::report::render_bench_json_with_metrics;
 
 /// The WLock+Read+Write variant of the Figure-14 workload on 3 nodes: it
 /// drives fills, invalidations, recalls and writebacks over the wire.
 fn run() -> (String, NodeStatsSnapshot) {
     let traffic = zipf_update(3, 4_096, 200, false).protocol;
-    let body = render_bench_json("tier1", &[("lock_3n".to_string(), traffic)]);
+    let body = render_bench_json_with_metrics("tier1", &[], &[("lock_3n".to_string(), traffic)]);
     (body, traffic)
 }
 
